@@ -22,8 +22,10 @@
 #include "coll/plan_cache.hpp"
 #include "coll/progress.hpp"
 #include "coll/vector_reference.hpp"
+#include "coll/workspace.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
+#include "util/timing.hpp"
 
 namespace bruck::coll {
 
@@ -145,15 +147,6 @@ bool hier_eligible(HierMode resolved, std::int64_t n, std::int64_t block_bytes,
          bruck_family;
 }
 
-/// Microseconds since `start` on the wall clock (the adaptive tuner's
-/// feedback signal).
-double wall_since_us(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<
-             std::chrono::duration<double, std::micro>>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
-
 /// The shared compiled tail of both collectives: fetch (or lower once) the
 /// plan for `key`, execute it through the requested executor, and report
 /// the cache/round/byte statistics.  `wall_out`, when given, receives the
@@ -172,7 +165,7 @@ int run_compiled(mps::Communicator& comm, const PlanKey& key,
                                        start_round, layouts)
           : lookup.plan->run(comm, send, recv, block_bytes, start_round,
                              layouts);
-  const double wall_us = wall_since_us(start);
+  const double wall_us = us_since(start);
   mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
                        ex.bytes_sent};
   event.wall_us = wall_us;
@@ -196,7 +189,7 @@ int run_compiled_v(mps::Communicator& comm, const PlanKey& key,
           : lookup.plan->run(comm, send, recv, view, start_round, layouts);
   mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
                        ex.bytes_sent};
-  event.wall_us = wall_since_us(start);
+  event.wall_us = us_since(start);
   comm.record_plan_event(event);
   return ex.next_round;
 }
@@ -907,7 +900,7 @@ int run_compiled_reduce(mps::Communicator& comm, const PlanKey& key,
                                        start_round, layouts)
           : lookup.plan->run(comm, send, recv, block_bytes, op, start_round,
                              layouts);
-  const double wall_us = wall_since_us(start);
+  const double wall_us = us_since(start);
   mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
                        ex.bytes_sent, ex.bytes_reduced};
   event.wall_us = wall_us;
@@ -1046,6 +1039,36 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
       LayoutPair{&send_layout, &recv_layout});
 }
 
+namespace {
+
+/// The two stages of a compiled allreduce over n blocks of `b` bytes:
+/// reduce-scatter `in` into this rank's block `reduced`, then allgather
+/// the reduced blocks into `out`.
+int allreduce_blocks(mps::Communicator& comm, std::span<const std::byte> in,
+                     std::span<std::byte> reduced, std::span<std::byte> out,
+                     std::int64_t b, const ReduceOp& op,
+                     const AllreduceOptions& options) {
+  ReduceScatterOptions rs;
+  rs.algorithm = options.algorithm;
+  rs.radix = options.radix;
+  rs.machine = options.machine;
+  rs.radix_set = options.radix_set;
+  rs.start_round = options.start_round;
+  rs.path = options.path;
+  rs.segments = options.segments;
+  const int after_reduce = reduce_scatter(comm, in, reduced, b, op, rs);
+
+  AllgatherOptions ag;
+  ag.algorithm = options.concat;
+  ag.machine = options.machine;
+  ag.start_round = after_reduce;
+  ag.path = options.path;
+  ag.segments = options.segments;
+  return allgather(comm, reduced, out, b, ag);
+}
+
+}  // namespace
+
 int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv, const ReduceOp& op,
               const AllreduceOptions& options) {
@@ -1062,40 +1085,33 @@ int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
   }
 
   // Reduce-scatter over ⌈elems/n⌉-element blocks, then allgather the
-  // reduced blocks.  The tail block is zero-padded identically on every
-  // rank; padded results are combined but never copied back.
+  // reduced blocks.  The staging comes from the communicator's workspace.
   const std::int64_t elems = bytes / ew;
   const std::int64_t block_elems = n > 0 ? ceil_div(elems, n) : 0;
   const std::int64_t b = block_elems * ew;
-
-  std::vector<std::byte> padded(static_cast<std::size_t>(n * b),
-                                std::byte{0});
-  if (bytes > 0) {
-    std::memcpy(padded.data(), send.data(), static_cast<std::size_t>(bytes));
+  ExecWorkspace& ws = ExecWorkspace::for_comm(comm);
+  ExecWorkspace::Buffer reduced(ws, static_cast<std::size_t>(b));
+  if (n * b == bytes) {
+    // n blocks exactly: no staging.  The reduce-scatter reads the user send
+    // buffer and the allgather lands straight in recv.  In-place calls
+    // (send aliasing recv) are safe: the reduce-scatter has consumed every
+    // send byte before the allgather writes.
+    return allreduce_blocks(comm, send, reduced.span(), recv, b, op,
+                            options);
   }
-  std::vector<std::byte> reduced(static_cast<std::size_t>(b));
-
-  ReduceScatterOptions rs;
-  rs.algorithm = options.algorithm;
-  rs.radix = options.radix;
-  rs.machine = options.machine;
-  rs.radix_set = options.radix_set;
-  rs.start_round = options.start_round;
-  rs.path = options.path;
-  rs.segments = options.segments;
-  const int after_reduce = reduce_scatter(comm, padded, reduced, b, op, rs);
-
-  std::vector<std::byte> gathered(static_cast<std::size_t>(n * b));
-  AllgatherOptions ag;
-  ag.algorithm = options.concat;
-  ag.machine = options.machine;
-  ag.start_round = after_reduce;
-  ag.path = options.path;
-  ag.segments = options.segments;
-  const int next = allgather(comm, reduced, gathered, b, ag);
-
+  // The tail block is zero-padded identically on every rank; padded
+  // results are combined but never copied back.
+  ExecWorkspace::Buffer padded(ws, static_cast<std::size_t>(n * b));
+  ExecWorkspace::Buffer gathered(ws, static_cast<std::size_t>(n * b));
+  const std::span<std::byte> in = padded.span();
   if (bytes > 0) {
-    std::memcpy(recv.data(), gathered.data(),
+    std::memcpy(in.data(), send.data(), static_cast<std::size_t>(bytes));
+  }
+  std::memset(in.data() + bytes, 0, static_cast<std::size_t>(n * b - bytes));
+  const int next = allreduce_blocks(comm, in, reduced.span(), gathered.span(),
+                                    b, op, options);
+  if (bytes > 0) {
+    std::memcpy(recv.data(), gathered.span().data(),
                 static_cast<std::size_t>(bytes));
   }
   return next;
@@ -1141,36 +1157,19 @@ int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
   const std::int64_t elems = bytes / ew;
   const std::int64_t block_elems = n > 0 ? ceil_div(elems, n) : 0;
   const std::int64_t b = block_elems * ew;
-
-  std::vector<std::byte> padded(static_cast<std::size_t>(n * b),
-                                std::byte{0});
+  ExecWorkspace& ws = ExecWorkspace::for_comm(comm);
+  ExecWorkspace::Buffer reduced(ws, static_cast<std::size_t>(b));
+  ExecWorkspace::Buffer padded(ws, static_cast<std::size_t>(n * b));
+  ExecWorkspace::Buffer gathered(ws, static_cast<std::size_t>(n * b));
+  const std::span<std::byte> in = padded.span();
   layout_gather(send, send_layout, 0, 0, bytes,
-                std::span<std::byte>(padded).first(
-                    static_cast<std::size_t>(bytes)));
-  std::vector<std::byte> reduced(static_cast<std::size_t>(b));
-
-  ReduceScatterOptions rs;
-  rs.algorithm = options.algorithm;
-  rs.radix = options.radix;
-  rs.machine = options.machine;
-  rs.radix_set = options.radix_set;
-  rs.start_round = options.start_round;
-  rs.path = options.path;
-  rs.segments = options.segments;
-  const int after_reduce = reduce_scatter(comm, padded, reduced, b, op, rs);
-
-  std::vector<std::byte> gathered(static_cast<std::size_t>(n * b));
-  AllgatherOptions ag;
-  ag.algorithm = options.concat;
-  ag.machine = options.machine;
-  ag.start_round = after_reduce;
-  ag.path = options.path;
-  ag.segments = options.segments;
-  const int next = allgather(comm, reduced, gathered, b, ag);
-
+                in.first(static_cast<std::size_t>(bytes)));
+  std::memset(in.data() + bytes, 0, static_cast<std::size_t>(n * b - bytes));
+  const int next = allreduce_blocks(comm, in, reduced.span(), gathered.span(),
+                                    b, op, options);
   layout_scatter(recv, recv_layout, 0, 0, bytes,
-                 std::span<const std::byte>(gathered).first(
-                     static_cast<std::size_t>(bytes)));
+                 std::span<const std::byte>(gathered.span())
+                     .first(static_cast<std::size_t>(bytes)));
   return next;
 }
 

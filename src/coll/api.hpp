@@ -350,8 +350,10 @@ struct AllreduceOptions {
 /// Allreduce: `recv` = ⊕ over all ranks of their `send` (equal byte length
 /// everywhere, a multiple of op.elem_bytes()).  Lowered as reduce-scatter
 /// over ⌈elems/n⌉-element blocks (zero-padded tail) followed by an
-/// allgather of the reduced blocks.  Returns the next free round index.
-/// Blocking, thread-safety, and trace behavior as reduce_scatter.
+/// allgather of the reduced blocks.  When n divides the element count the
+/// stages run straight on `send` and `recv` with no staging copy; `send`
+/// may be the same span as `recv` (in place).  Returns the next free round
+/// index.  Blocking, thread-safety, and trace behavior as reduce_scatter.
 int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv, const ReduceOp& op,
               const AllreduceOptions& options = {});

@@ -34,6 +34,7 @@
 #include "mps/group.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
+#include "util/timing.hpp"
 
 namespace bruck::coll {
 
@@ -137,6 +138,7 @@ PlanExecution CompositePlan::run(mps::Communicator& comm,
     }
     if (st.plan) {
       const std::int64_t stage_block = st.block_units * b;
+      const auto started = std::chrono::steady_clock::now();
       PlanExecution r;
       if (st.members.empty()) {
         r = run_stage_plan(st, comm, in, out, stage_block, op, base,
@@ -147,9 +149,9 @@ PlanExecution CompositePlan::run(mps::Communicator& comm,
       }
       total.bytes_sent += r.bytes_sent;
       total.bytes_reduced += r.bytes_reduced;
-      comm.record_plan_event(mps::PlanEvent{st.cache_hit,
-                                            st.plan->round_count(),
-                                            r.bytes_sent, r.bytes_reduced});
+      comm.record_plan_event(mps::PlanEvent{
+          st.cache_hit, st.plan->round_count(), r.bytes_sent,
+          r.bytes_reduced, /*tag=*/0, us_since(started)});
     }
     base += st.round_stride;
     if (s + 1 < stages_.size()) {
@@ -509,6 +511,7 @@ void CompositeCursor::open_stage() {
     out = stage_out_;
   }
   const std::int64_t stage_block = st.block_units * b;
+  stage_started_ = std::chrono::steady_clock::now();
   if (st.reducing) {
     cursor_ = std::make_unique<PlanCursor>(st.plan, *comm_, in, out,
                                            stage_block, *op_, base_round_,
@@ -524,10 +527,9 @@ void CompositeCursor::finish_stage() {
   const PlanExecution r = cursor_->result();
   out_.bytes_sent += r.bytes_sent;
   out_.bytes_reduced += r.bytes_reduced;
-  comm_->record_plan_event(mps::PlanEvent{st.cache_hit,
-                                          st.plan->round_count(),
-                                          r.bytes_sent, r.bytes_reduced,
-                                          tag_});
+  comm_->record_plan_event(mps::PlanEvent{
+      st.cache_hit, st.plan->round_count(), r.bytes_sent, r.bytes_reduced,
+      tag_, us_since(stage_started_)});
   base_round_ += st.round_stride;
   const bool last = stage_ + 1 == plan_.stages_.size();
   if (!last) {
@@ -549,16 +551,16 @@ void CompositeCursor::finish_stage() {
   }
 }
 
-std::vector<mps::PortHandle> CompositeCursor::post_ready() {
-  std::vector<mps::PortHandle> handles;
+std::span<const mps::PortHandle> CompositeCursor::post_ready() {
+  fresh_.clear();
   while (!done_) {
     if (!cursor_) open_stage();
-    const std::vector<mps::PortHandle> batch = cursor_->post_ready();
-    handles.insert(handles.end(), batch.begin(), batch.end());
+    const std::span<const mps::PortHandle> batch = cursor_->post_ready();
+    fresh_.insert(fresh_.end(), batch.begin(), batch.end());
     if (!cursor_->done()) break;
     finish_stage();
   }
-  return handles;
+  return fresh_;
 }
 
 void CompositeCursor::on_complete(mps::PortHandle h) {

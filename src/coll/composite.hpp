@@ -35,6 +35,7 @@
 // fold padding into live slots).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -213,8 +214,9 @@ class CompositeCursor {
 
   /// Post everything postable, advancing through stage boundaries (finish
   /// a drained stage, splice, open the next) as far as possible without
-  /// blocking.  Returns the receive handles posted by this call.
-  std::vector<mps::PortHandle> post_ready();
+  /// blocking.  Returns the receive handles posted by this call (valid
+  /// until the next call).
+  std::span<const mps::PortHandle> post_ready();
 
   /// Deliver one completed receive handle of the current stage's cursor.
   void on_complete(mps::PortHandle h);
@@ -245,6 +247,8 @@ class CompositeCursor {
   std::vector<std::byte> stage_in_;   ///< current stage's owned input
   std::vector<std::byte> stage_out_;  ///< current stage's owned output
   std::unique_ptr<PlanCursor> cursor_;
+  std::chrono::steady_clock::time_point stage_started_;
+  std::vector<mps::PortHandle> fresh_;  ///< handles of the last post_ready()
   PlanExecution out_;
   bool done_ = false;
 };

@@ -5,8 +5,6 @@
 #include <limits>
 #include <sstream>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "coll/blocks.hpp"
@@ -740,9 +738,14 @@ struct ExecBuffers {
 
 }  // namespace
 
-std::vector<std::byte> Plan::pack_message(const PlanMessage& m,
-                                          std::span<const std::byte> src,
-                                          const Extents& ex) const {
+std::span<const std::byte> Plan::pack_message(
+    const PlanMessage& m, std::span<const std::byte> src, const Extents& ex,
+    std::vector<std::byte>& out, std::vector<ByteExtent>& extents) const {
+  const auto sized = [&out](std::int64_t bytes) {
+    const auto len = static_cast<std::size_t>(bytes);
+    if (out.size() < len) out.resize(len);
+    return std::span<std::byte>(out.data(), len);
+  };
   if (ex.view != nullptr || active_layout(m.buffer, ex) != nullptr) {
     // Irregular and/or layout-mapped: materialize the variable-extent cell
     // map and gather through pack.hpp — its bounds checks guard the
@@ -750,34 +753,38 @@ std::vector<std::byte> Plan::pack_message(const PlanMessage& m,
     // to the layout's piece walk, so the strided user buffer feeds the
     // wire directly with no staging copy.  Only these messages pay for the
     // extent list; the uniform-contiguous hot path is below.
-    std::vector<ByteExtent> extents;
-    extents.reserve(m.cells_end - m.cells_begin);
+    extents.clear();
     std::int64_t total = 0;
     for (std::uint32_t c = m.cells_begin; c < m.cells_end; ++c) {
       total += cell_len(c, ex);
       append_cell_extents(c, m.buffer, ex, extents);
     }
-    std::vector<std::byte> out(static_cast<std::size_t>(total));
-    gather_extents(src, extents, out);
-    return out;
+    const std::span<std::byte> packed = sized(total);
+    gather_extents(src, extents, packed);
+    return packed;
   }
-  // Uniform: allocation-free direct walk (the PR 1/2 hot path).
+  // Uniform: direct walk over whole-block and byte-range cells.
   const std::int64_t b = ex.b;
-  std::vector<std::byte> out(static_cast<std::size_t>(message_bytes(m, b)));
+  const std::span<std::byte> packed = sized(message_bytes(m, b));
   std::size_t pos = 0;
   for (std::uint32_t c = m.cells_begin; c < m.cells_end; ++c) {
     const PlanCell& cell = cells_[c];
     const std::int64_t len =
         cell.hi == PlanCell::kWholeBlock ? b : cell.hi - cell.lo;
-    std::memcpy(out.data() + pos, src.data() + cell.slot * b + cell.lo,
+    std::memcpy(packed.data() + pos, src.data() + cell.slot * b + cell.lo,
                 static_cast<std::size_t>(len));
     pos += static_cast<std::size_t>(len);
   }
-  return out;
+  return packed;
+}
+
+bool Plan::lands_in_place(const PlanMessage& m, const Extents& ex) {
+  return m.contiguous && !m.combine && active_layout(m.buffer, ex) == nullptr;
 }
 
 void Plan::scatter_message(const PlanMessage& m, std::span<std::byte> dst,
-                           const std::byte* data, const Extents& ex) const {
+                           const std::byte* data, const Extents& ex,
+                           std::vector<ByteExtent>& extents) const {
   if (m.combine) {
     // Reduce-on-receive: ⊕-combine the payload into the cells instead of
     // overwriting.  Runs on the receiving rank's thread only, so the
@@ -811,8 +818,7 @@ void Plan::scatter_message(const PlanMessage& m, std::span<std::byte> dst,
     return;
   }
   if (ex.view != nullptr || active_layout(m.buffer, ex) != nullptr) {
-    std::vector<ByteExtent> extents;
-    extents.reserve(m.cells_end - m.cells_begin);
+    extents.clear();
     std::int64_t total = 0;
     for (std::uint32_t c = m.cells_begin; c < m.cells_end; ++c) {
       total += cell_len(c, ex);
@@ -924,6 +930,7 @@ PlanExecution Plan::run_blocking_impl(mps::Communicator& comm,
   std::vector<std::vector<std::byte>> out_stage(
       static_cast<std::size_t>(k_));
   std::vector<std::vector<std::byte>> in_stage(static_cast<std::size_t>(k_));
+  std::vector<ByteExtent> extents;
   std::vector<mps::SendSpec> sends;
   std::vector<mps::RecvSpec> recvs;
   // Non-contiguous receives pending scatter after the exchange.
@@ -947,9 +954,8 @@ PlanExecution Plan::run_blocking_impl(mps::Communicator& comm,
                                    cell_offset(m.cells_begin, m.buffer, ex)),
                                static_cast<std::size_t>(bytes));
       } else {
-        std::vector<std::byte>& stage = out_stage[s - round.sends_begin];
-        stage = pack_message(m, buffers.readable(m.buffer), ex);
-        payload = stage;
+        payload = pack_message(m, buffers.readable(m.buffer), ex,
+                               out_stage[s - round.sends_begin], extents);
       }
       sends.push_back(mps::SendSpec{m.peer, payload});
       out.bytes_sent += bytes;
@@ -960,8 +966,7 @@ PlanExecution Plan::run_blocking_impl(mps::Communicator& comm,
       const std::int64_t bytes = resolved_message_bytes(m, ex);
       if (bytes == 0) continue;
       std::span<std::byte> landing;
-      if (m.contiguous && !m.combine &&
-          active_layout(m.buffer, ex) == nullptr) {
+      if (lands_in_place(m, ex)) {
         landing = buffers.writable(m.buffer)
                       .subspan(static_cast<std::size_t>(
                                    cell_offset(m.cells_begin, m.buffer, ex)),
@@ -983,7 +988,7 @@ PlanExecution Plan::run_blocking_impl(mps::Communicator& comm,
     }
 
     for (const auto& [m, data] : scatters) {
-      scatter_message(*m, buffers.writable(m->buffer), data, ex);
+      scatter_message(*m, buffers.writable(m->buffer), data, ex, extents);
     }
   }
 
@@ -999,18 +1004,16 @@ PlanExecution Plan::run_pipelined_impl(mps::Communicator& comm,
                                        int start_round) const {
   // The blocking pipelined executor is the single-tenant driving loop of
   // the resumable cursor: post what's postable, block on the engine's
-  // completion stream, feed completions back, repeat.
+  // completion stream, feed completions back (the cursor rejects handles
+  // it does not own), repeat.
   PlanCursor cursor(shared_from_this(), comm, send, recv, ex, start_round,
                     /*tag=*/0);
-  std::unordered_set<mps::PortHandle> mine;
   while (!cursor.done()) {
-    for (const mps::PortHandle h : cursor.post_ready()) mine.insert(h);
+    (void)cursor.post_ready();
     if (cursor.done()) break;
     BRUCK_ENSURE_MSG(cursor.outstanding() > 0,
                      "pipelined cursor stalled with nothing in flight");
-    const mps::PortHandle h = comm.wait_any_recv();
-    BRUCK_ENSURE_MSG(mine.erase(h) == 1, "engine reported a foreign handle");
-    cursor.on_complete(h);
+    cursor.on_complete(comm.wait_any_recv());
   }
   // Native engines are fully drained here; the deferred fallback may still
   // hold posted sends of receive-less rounds — flush them.
@@ -1028,6 +1031,8 @@ PlanCursor::PlanCursor(std::shared_ptr<const Plan> plan,
                        int start_round, int tag)
     : plan_(std::move(plan)),
       comm_(&comm),
+      ws_(&ExecWorkspace::for_comm(comm)),
+      st_(ws_->take_cursor_state()),
       send_(send),
       recv_(recv),
       ex_(ex),
@@ -1035,14 +1040,19 @@ PlanCursor::PlanCursor(std::shared_ptr<const Plan> plan,
       tag_(tag),
       rounds_(plan_->round_count_) {
   BRUCK_REQUIRE(tag >= 0);
-  scratch_.resize(plan_->needs_scratch_
-                      ? static_cast<std::size_t>(plan_->n_ * ex_.b)
-                      : 0);
+  const std::size_t scratch_bytes =
+      plan_->needs_scratch_ ? static_cast<std::size_t>(plan_->n_ * ex_.b) : 0;
+  if (st_->scratch.size() < scratch_bytes) st_->scratch.resize(scratch_bytes);
+  scratch_ = std::span<std::byte>(st_->scratch.data(), scratch_bytes);
+  st_->open.assign(static_cast<std::size_t>(rounds_), 0);
+  st_->posted.clear();
+  st_->fresh.clear();
   plan_->apply_prologue(send_, recv_, scratch_, comm_->rank(), ex_);
-  open_.assign(static_cast<std::size_t>(rounds_), 0);
   out_.next_round = start_round_ + rounds_;
   advance_frontier();  // zero-round plans complete immediately
 }
+
+PlanCursor::~PlanCursor() { ws_->give_back(std::move(st_)); }
 
 PlanCursor::PlanCursor(std::shared_ptr<const Plan> plan,
                        mps::Communicator& comm,
@@ -1099,6 +1109,7 @@ bool PlanCursor::postable(int i) const {
 
 void PlanCursor::post_round(int i) {
   const Plan& plan = *plan_;
+  CursorState& st = *st_;
   const ExecBuffers buffers{send_, recv_, scratch_};
   const Plan::RankProgram& prog =
       plan.programs_[static_cast<std::size_t>(comm_->rank())];
@@ -1113,62 +1124,72 @@ void PlanCursor::post_round(int i) {
         std::max<std::int64_t>(1, bytes / model::kMinSegmentBytes)));
   };
   // Pack and post sends first (reference semantics: a round's sends read
-  // the state before its receives land).  Payloads are captured at post
-  // time — packed messages move their staging buffer onto the wire — so
-  // the source buffers are free for later writes immediately.
+  // the state before its receives land).  The port engine captures each
+  // payload before post_send returns — contiguous messages go to the wire
+  // straight from their buffer, packed ones through the workspace's pack
+  // buffer — so the source buffers are free for later writes immediately.
   for (std::uint32_t s = round.sends_begin; s < round.sends_end; ++s) {
     const PlanMessage& m = prog.sends[s];
     const std::int64_t bytes = plan.resolved_message_bytes(m, ex_);
     if (bytes == 0) continue;
-    if (m.contiguous && Plan::active_layout(m.buffer, ex_) == nullptr) {
-      comm_->post_send(start_round_ + i, m.peer,
-                       buffers.readable(m.buffer)
-                           .subspan(static_cast<std::size_t>(plan.cell_offset(
-                                        m.cells_begin, m.buffer, ex_)),
-                                    static_cast<std::size_t>(bytes)),
-                       segments_for(bytes), tag_);
-    } else {
-      comm_->post_send(start_round_ + i, m.peer,
-                       plan.pack_message(m, buffers.readable(m.buffer), ex_),
-                       segments_for(bytes), tag_);
-    }
+    const std::span<const std::byte> src = buffers.readable(m.buffer);
+    const std::span<const std::byte> payload =
+        m.contiguous && Plan::active_layout(m.buffer, ex_) == nullptr
+            ? src.subspan(static_cast<std::size_t>(
+                              plan.cell_offset(m.cells_begin, m.buffer, ex_)),
+                          static_cast<std::size_t>(bytes))
+            : plan.pack_message(m, src, ex_, ws_->pack_bytes(),
+                                ws_->extents());
+    comm_->post_send(start_round_ + i, m.peer, payload, segments_for(bytes),
+                     tag_);
     out_.bytes_sent += bytes;
   }
+  // Staged receives (scatter or ⊕-combine targets) land back to back in
+  // this round's staging buffer, sized before the first post so the spans
+  // handed to the engine never move.
+  std::vector<std::byte>& staging = st.staging[static_cast<std::size_t>(i % 2)];
+  std::int64_t staged_bytes = 0;
+  for (std::uint32_t r = round.recvs_begin; r < round.recvs_end; ++r) {
+    const PlanMessage& m = prog.recvs[r];
+    if (!Plan::lands_in_place(m, ex_)) {
+      staged_bytes += plan.resolved_message_bytes(m, ex_);
+    }
+  }
+  if (staging.size() < static_cast<std::size_t>(staged_bytes)) {
+    staging.resize(static_cast<std::size_t>(staged_bytes));
+  }
+  std::int64_t staged_at = 0;
   for (std::uint32_t r = round.recvs_begin; r < round.recvs_end; ++r) {
     const PlanMessage& m = prog.recvs[r];
     const std::int64_t bytes = plan.resolved_message_bytes(m, ex_);
     if (bytes == 0) continue;
-    mps::PortHandle h = 0;
-    bool take_buffer = false;
-    if (m.contiguous && !m.combine &&
-        Plan::active_layout(m.buffer, ex_) == nullptr) {
+    CursorState::Posted rec{0, &m, i, -1};
+    std::span<std::byte> landing;
+    if (Plan::lands_in_place(m, ex_)) {
       // Land in place: segments stream straight into the target buffer.
-      h = comm_->post_recv(start_round_ + i, m.peer,
-                           buffers.writable(m.buffer)
-                               .subspan(static_cast<std::size_t>(
-                                            plan.cell_offset(m.cells_begin,
-                                                             m.buffer, ex_)),
-                                        static_cast<std::size_t>(bytes)),
-                           segments_for(bytes), tag_);
+      const std::int64_t at = plan.cell_offset(m.cells_begin, m.buffer, ex_);
+      landing = buffers.writable(m.buffer).subspan(
+          static_cast<std::size_t>(at), static_cast<std::size_t>(bytes));
     } else {
-      // Scatter (or combine) target: consume the wire buffer itself on
-      // completion instead of staging a copy.  Combine receives must be
-      // buffered — the ⊕ into the accumulator happens at completion, on
-      // this rank's thread, fused into the eager out-of-order path.
-      h = comm_->post_recv_buffer(start_round_ + i, m.peer, bytes,
-                                  segments_for(bytes), tag_);
-      take_buffer = true;
+      // Scatter (or combine) target: stage, then scatter/⊕ on completion,
+      // on this rank's thread, fused into the eager out-of-order path.
+      landing = std::span<std::byte>(staging).subspan(
+          static_cast<std::size_t>(staged_at), static_cast<std::size_t>(bytes));
+      rec.staged_at = staged_at;
+      staged_at += bytes;
       if (m.combine) out_.bytes_reduced += bytes;
     }
-    posted_.emplace(h, Posted{&m, i, take_buffer});
-    ++open_[static_cast<std::size_t>(i)];
-    new_handles_.push_back(h);
+    rec.handle = comm_->post_recv(start_round_ + i, m.peer, landing,
+                                  segments_for(bytes), tag_);
+    st.posted.push_back(rec);
+    ++st.open[static_cast<std::size_t>(i)];
+    st.fresh.push_back(rec.handle);
   }
 }
 
 void PlanCursor::advance_frontier() {
   while (drained_ < next_post_ &&
-         open_[static_cast<std::size_t>(drained_)] == 0) {
+         st_->open[static_cast<std::size_t>(drained_)] == 0) {
     ++drained_;
   }
   if (!done_ && drained_ == rounds_ && next_post_ == rounds_) {
@@ -1177,30 +1198,35 @@ void PlanCursor::advance_frontier() {
   }
 }
 
-std::vector<mps::PortHandle> PlanCursor::post_ready() {
-  new_handles_.clear();
+std::span<const mps::PortHandle> PlanCursor::post_ready() {
+  st_->fresh.clear();
   while (next_post_ < rounds_ && postable(next_post_)) {
     post_round(next_post_);
     ++next_post_;
     advance_frontier();  // receive-less rounds drain at post
   }
-  return std::move(new_handles_);
+  return st_->fresh;
 }
 
 void PlanCursor::on_complete(mps::PortHandle h) {
-  const auto it = posted_.find(h);
-  BRUCK_REQUIRE_MSG(it != posted_.end(),
+  std::vector<CursorState::Posted>& posted = st_->posted;
+  const auto it =
+      std::find_if(posted.begin(), posted.end(),
+                   [h](const CursorState::Posted& p) { return p.handle == h; });
+  BRUCK_REQUIRE_MSG(it != posted.end(),
                     "completion handed to a cursor that does not own it");
-  const Posted rec = it->second;
-  posted_.erase(it);
-  if (rec.take_buffer) {
+  const CursorState::Posted rec = *it;
+  *it = posted.back();
+  posted.pop_back();
+  if (rec.staged_at >= 0) {
     const ExecBuffers buffers{send_, recv_, scratch_};
-    const std::vector<std::byte> payload = comm_->take_payload(h);
-    plan_->scatter_message(*rec.message,
-                           buffers.writable(rec.message->buffer),
-                           payload.data(), ex_);
+    const std::vector<std::byte>& staging =
+        st_->staging[static_cast<std::size_t>(rec.round % 2)];
+    plan_->scatter_message(*rec.message, buffers.writable(rec.message->buffer),
+                           staging.data() + rec.staged_at, ex_,
+                           ws_->extents());
   }
-  --open_[static_cast<std::size_t>(rec.round)];
+  --st_->open[static_cast<std::size_t>(rec.round)];
   advance_frontier();
 }
 

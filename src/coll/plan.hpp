@@ -18,12 +18,13 @@
 //
 // Two executors walk a plan.  `run()` is the blocking (PR 1) executor:
 // pack, exchange, scatter, strictly round by round.  `run_pipelined()`
-// drives the nonblocking port engine instead: sends are packed straight
-// into wire buffers and posted without waiting, receives complete eagerly
-// in *arrival* order (scatter happens per message, not per round), and
-// round r+1 is posted while round r's receives are still in flight
-// whenever the lowering proved the rounds independent (`pipeline_safe`,
-// computed in finalize() from the cells each round reads and writes).
+// drives the nonblocking port engine instead: sends are handed to the
+// wire (packed first when non-contiguous) without waiting, receives
+// complete eagerly in *arrival* order (scatter happens per message, not
+// per round), and round r+1 is posted while round r's receives are still
+// in flight whenever the lowering proved the rounds independent
+// (`pipeline_safe`, computed in finalize() from the cells each round
+// reads and writes).
 // Large payloads can additionally be split into `segments()` wire segments
 // per message — the plan-lowering pipelining knob (tuned through
 // model::pick_segment_count) — so a receiver consumes segment i while
@@ -51,11 +52,11 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "coll/layout.hpp"
 #include "coll/reduction.hpp"
+#include "coll/workspace.hpp"
 #include "model/costs.hpp"
 #include "mps/communicator.hpp"
 #include "sched/schedule.hpp"
@@ -482,14 +483,23 @@ class Plan : public std::enable_shared_from_this<Plan> {
   void apply_epilogue(std::span<std::byte> recv,
                       std::span<const std::byte> scratch, std::int64_t rank,
                       const Extents& ex) const;
-  /// Gather a non-contiguous message's cells into a fresh wire buffer.
-  [[nodiscard]] std::vector<std::byte> pack_message(
-      const PlanMessage& m, std::span<const std::byte> src,
-      const Extents& ex) const;
+  /// Gather a non-contiguous message's cells into `out` (grown, never
+  /// shrunk) and return the packed prefix.  `extents` is scratch for the
+  /// irregular and layout paths.
+  [[nodiscard]] std::span<const std::byte> pack_message(
+      const PlanMessage& m, std::span<const std::byte> src, const Extents& ex,
+      std::vector<std::byte>& out, std::vector<ByteExtent>& extents) const;
   /// Scatter a received message's bytes into its cells — overwriting, or
   /// ⊕-combining through ex.op when the message carries the combine flag.
+  /// `extents` is scratch for the irregular and layout paths.
   void scatter_message(const PlanMessage& m, std::span<std::byte> dst,
-                       const std::byte* data, const Extents& ex) const;
+                       const std::byte* data, const Extents& ex,
+                       std::vector<ByteExtent>& extents) const;
+  /// True when a receive lands straight in its target buffer; false when
+  /// it is staged (non-contiguous cells, a layout, or a ⊕-combine, which
+  /// must never land in the accumulator directly).
+  [[nodiscard]] static bool lands_in_place(const PlanMessage& m,
+                                           const Extents& ex);
 
   // The executor bodies both public run flavors funnel into.
   PlanExecution run_blocking_impl(mps::Communicator& comm,
@@ -541,6 +551,11 @@ class Plan : public std::enable_shared_from_this<Plan> {
 /// VectorView must outlive the cursor; construction runs the same buffer
 /// contract checks as the corresponding run_pipelined overload and applies
 /// the prologue.
+///
+/// Memory: the scratch, receive staging, and handle bookkeeping come from
+/// the communicator's ExecWorkspace (workspace.hpp) and return to it when
+/// the cursor is destroyed, so a repeated geometry executes without heap
+/// allocation.
 class PlanCursor {
  public:
   /// Uniform (index/concat) execution; see Plan::run_pipelined.  `layouts`
@@ -564,12 +579,14 @@ class PlanCursor {
 
   PlanCursor(const PlanCursor&) = delete;
   PlanCursor& operator=(const PlanCursor&) = delete;
+  ~PlanCursor();
 
   /// Post every round that has become postable (never blocks).  Returns the
-  /// handles of the receives posted by this call; the owner must feed each
-  /// of them back through on_complete() when the engine reports it.  May
-  /// complete the cursor outright (rounds without receives, empty plans).
-  std::vector<mps::PortHandle> post_ready();
+  /// handles of the receives posted by this call (valid until the next
+  /// call); the owner must feed each of them back through on_complete()
+  /// when the engine reports it.  May complete the cursor outright (rounds
+  /// without receives, empty plans).
+  std::span<const mps::PortHandle> post_ready();
 
   /// Deliver one completed receive handle previously returned by
   /// post_ready(): consumes the payload (scatter/⊕-combine) and advances
@@ -583,7 +600,7 @@ class PlanCursor {
   [[nodiscard]] bool done() const { return done_; }
   /// Receives posted but not yet delivered back through on_complete().
   [[nodiscard]] int outstanding() const {
-    return static_cast<int>(posted_.size());
+    return static_cast<int>(st_->posted.size());
   }
   [[nodiscard]] int tag() const { return tag_; }
   /// Execution totals; valid once done().
@@ -591,14 +608,6 @@ class PlanCursor {
 
  private:
   friend class Plan;
-
-  /// One record per posted receive: the plan message it lands in and the
-  /// round to credit its completion to.
-  struct Posted {
-    const PlanMessage* message = nullptr;
-    int round = 0;
-    bool take_buffer = false;
-  };
 
   PlanCursor(std::shared_ptr<const Plan> plan, mps::Communicator& comm,
              std::span<const std::byte> send, std::span<std::byte> recv,
@@ -612,18 +621,17 @@ class PlanCursor {
 
   std::shared_ptr<const Plan> plan_;
   mps::Communicator* comm_;
+  ExecWorkspace* ws_;
+  std::unique_ptr<CursorState> st_;  ///< leased from *ws_
   std::span<const std::byte> send_;
   std::span<std::byte> recv_;
-  std::vector<std::byte> scratch_;
+  std::span<std::byte> scratch_;  ///< the plan's scratch, in st_->scratch
   Plan::Extents ex_;
   int start_round_ = 0;
   int tag_ = 0;
   int rounds_ = 0;     ///< plan_->round_count()
   int next_post_ = 0;  ///< rounds [0, next_post_) have been posted
   int drained_ = 0;    ///< rounds [0, drained_) have fully completed
-  std::vector<int> open_;  ///< per-round receives still in flight
-  std::unordered_map<mps::PortHandle, Posted> posted_;
-  std::vector<mps::PortHandle> new_handles_;  ///< post_ready() scratch
   PlanExecution out_;
   bool done_ = false;
 };

@@ -1,6 +1,7 @@
 #include "coll/plan_cache.hpp"
 
 #include <bit>
+#include <optional>
 
 #include "util/assert.hpp"
 
@@ -250,9 +251,10 @@ PlanCache::Lookup PlanCache::get_or_lower(const PlanKey& key) {
   // the lock; concurrent same-key callers wait on the future (and report a
   // hit — they did no planning work); lookups for other keys pass straight
   // through.
+  // The promise is built only on the miss branch: constructing one
+  // allocates its shared state, and the hit path must not touch the heap.
   std::shared_future<std::shared_ptr<const Plan>> in_flight;
-  std::promise<std::shared_ptr<const Plan>> promise;
-  bool creator = false;
+  std::optional<std::promise<std::shared_ptr<const Plan>>> promise;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = plans_.find(key);
@@ -265,12 +267,13 @@ PlanCache::Lookup PlanCache::get_or_lower(const PlanKey& key) {
     if (pending != pending_.end()) {
       in_flight = pending->second;
     } else {
-      creator = true;
       ++misses_;
-      in_flight = promise.get_future().share();
+      promise.emplace();
+      in_flight = promise->get_future().share();
       pending_.emplace(key, in_flight);
     }
   }
+  const bool creator = promise.has_value();
 
   if (!creator) {
     // Another thread is lowering this key: wait for its result (rethrows
@@ -290,7 +293,7 @@ PlanCache::Lookup PlanCache::get_or_lower(const PlanKey& key) {
       std::lock_guard<std::mutex> lock(mu_);
       pending_.erase(key);
     }
-    promise.set_exception(std::current_exception());
+    promise->set_exception(std::current_exception());
     throw;
   }
   {
@@ -306,7 +309,7 @@ PlanCache::Lookup PlanCache::get_or_lower(const PlanKey& key) {
       }
     }
   }
-  promise.set_value(plan);
+  promise->set_value(plan);
   return Lookup{plan, false};
 }
 

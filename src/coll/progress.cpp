@@ -22,6 +22,7 @@
 #include "coll/composite.hpp"
 #include "coll/plan.hpp"
 #include "util/assert.hpp"
+#include "util/timing.hpp"
 
 namespace bruck::coll {
 
@@ -50,6 +51,13 @@ std::int64_t fuse_max_block_bytes() {
   return static_cast<std::int64_t>(v);
 }
 
+/// The buffers an allreduce's stage chain runs on (Op::allreduce_stages).
+struct AllreduceBuffers {
+  std::span<const std::byte> send;
+  std::span<std::byte> recv;
+  bool staged = false;
+};
+
 }  // namespace
 
 /// One submitted operation: the resolved spec plus completion state and
@@ -63,11 +71,52 @@ struct ProgressEngine::Op {
   PlanExecution result;
   /// Irregular runs: spans into spec's owned count/displacement storage.
   VectorView view;
-  /// Allreduce staging: zero-padded input and the gathered result (copied
-  /// back to the user buffer at retirement); the inter-stage block lives
-  /// inside the CompositeCursor.
+  /// Allreduce staging, used only when the payload does not split into n
+  /// equal blocks or a layout is involved: the zero-padded input and the
+  /// gathered result (copied back to the user buffer at retirement).
   std::vector<std::byte> padded;
   std::vector<std::byte> gathered;
+
+  /// The buffers the allreduce chain runs on.  When the payload is exactly
+  /// n blocks and contiguous, those are the user buffers: the
+  /// reduce-scatter stage reads `send` and the allgather stage writes
+  /// `recv` directly (in-place calls are safe — the first stage has
+  /// consumed every send byte before the second writes).  Otherwise the
+  /// payload is zero-padded into `padded` and gathered into `gathered`.
+  AllreduceBuffers allreduce_stages() {
+    const std::int64_t n = spec.key.n;
+    const std::int64_t b = spec.block_bytes;
+    if (!spec.has_layout &&
+        static_cast<std::int64_t>(spec.send.size()) == n * b) {
+      return AllreduceBuffers{spec.send, spec.recv, false};
+    }
+    padded.assign(static_cast<std::size_t>(n * b), std::byte{0});
+    if (spec.has_layout) {
+      // The layouts replace the staging copies: gather the strided user
+      // payload straight into the padded scratch (the wire stages run
+      // contiguous).
+      const std::int64_t logical = spec.send_layout.block_bytes();
+      layout_gather(spec.send, spec.send_layout, 0, 0, logical,
+                    std::span<std::byte>(padded).first(
+                        static_cast<std::size_t>(logical)));
+    } else if (!spec.send.empty()) {
+      std::memcpy(padded.data(), spec.send.data(), spec.send.size());
+    }
+    gathered.resize(static_cast<std::size_t>(n * b));
+    return AllreduceBuffers{padded, gathered, true};
+  }
+
+  /// Copy a staged allreduce result back to the user buffer.
+  void finish_allreduce() const {
+    if (spec.has_layout) {
+      const std::int64_t logical = spec.recv_layout.block_bytes();
+      layout_scatter(spec.recv, spec.recv_layout, 0, 0, logical,
+                     std::span<const std::byte>(gathered).first(
+                         static_cast<std::size_t>(logical)));
+    } else if (!spec.recv.empty()) {
+      std::memcpy(spec.recv.data(), gathered.data(), spec.recv.size());
+    }
+  }
 };
 
 /// One live cursor and how to retire it (see the file comment).  Exactly
@@ -81,6 +130,7 @@ struct ProgressEngine::Exec {
   int tag = 0;
   bool fused = false;
   bool cache_hit = false;
+  std::chrono::steady_clock::time_point started;  ///< for PlanEvent::wall_us
   std::int64_t member_block = 0;  ///< fused: one member's block size
   std::vector<std::byte> fused_send;
   std::vector<std::byte> fused_recv;
@@ -255,6 +305,7 @@ void ProgressEngine::start_solo(Op* op) {
   exec->plan = lookup.plan;
   exec->cache_hit = lookup.cache_hit;
   exec->tag = op->tag;
+  exec->started = std::chrono::steady_clock::now();
   switch (spec.family) {
     case OpSpec::Family::kAlltoall:
     case OpSpec::Family::kAllgather:
@@ -273,28 +324,14 @@ void ProgressEngine::start_solo(Op* op) {
           spec.op, spec.start_round, op->tag, spec_layouts(spec));
       break;
     case OpSpec::Family::kAllreduce: {
-      const std::int64_t n = spec.key.n;
-      const std::int64_t b = spec.block_bytes;
-      op->padded.assign(static_cast<std::size_t>(n * b), std::byte{0});
-      if (spec.has_layout) {
-        // The layouts replace the staging copies: gather the strided user
-        // payload straight into the padded scratch (the wire stages run
-        // contiguous).
-        const std::int64_t logical = spec.send_layout.block_bytes();
-        layout_gather(spec.send, spec.send_layout, 0, 0, logical,
-                      std::span<std::byte>(op->padded).first(
-                          static_cast<std::size_t>(logical)));
-      } else if (!spec.send.empty()) {
-        std::memcpy(op->padded.data(), spec.send.data(), spec.send.size());
-      }
-      op->gathered.resize(static_cast<std::size_t>(n * b));
+      const AllreduceBuffers io = op->allreduce_stages();
       // The generic stage chain: reduce-scatter feeding allgather through
       // an identity splice, one tag namespace, per-stage events recorded by
       // the composite cursor itself.
       exec->chain = std::make_unique<CompositeCursor>(
-          CompositePlan::allreduce_chain(spec.key, spec.concat_key, n, b),
-          *comm_, op->padded, op->gathered, &spec.op, spec.start_round,
-          op->tag);
+          CompositePlan::allreduce_chain(spec.key, spec.concat_key,
+                                         spec.key.n, spec.block_bytes),
+          *comm_, io.send, io.recv, &spec.op, spec.start_round, op->tag);
       break;
     }
   }
@@ -337,6 +374,7 @@ void ProgressEngine::start_fused(const std::vector<Op*>& members) {
   exec->plan = lookup.plan;
   exec->cache_hit = lookup.cache_hit;
   exec->tag = tag;
+  exec->started = std::chrono::steady_clock::now();
   exec->fused = true;
   exec->member_block = b;
   exec->fused_send.resize(static_cast<std::size_t>(send_blocks * bf));
@@ -376,22 +414,23 @@ void ProgressEngine::start_fused(const std::vector<Op*>& members) {
 }
 
 void ProgressEngine::pump_posts(Exec& exec) {
-  const std::vector<mps::PortHandle> handles =
+  const std::span<const mps::PortHandle> handles =
       exec.chain ? exec.chain->post_ready() : exec.cursor->post_ready();
-  for (const mps::PortHandle h : handles) {
-    route_.emplace(h, &exec);
-  }
+  for (const mps::PortHandle h : handles) route_.emplace_back(h, &exec);
   if (exec.chain ? exec.chain->done() : exec.cursor->done()) retire(exec);
 }
 
 void ProgressEngine::deliver(mps::PortHandle h) {
-  const auto it = route_.find(h);
+  const auto it =
+      std::find_if(route_.begin(), route_.end(),
+                   [h](const auto& entry) { return entry.first == h; });
   BRUCK_REQUIRE_MSG(it != route_.end(),
                     "progress engine received a foreign completion — "
                     "blocking collectives and raw port operations are not "
                     "allowed while nonblocking requests are outstanding");
   Exec& exec = *it->second;
-  route_.erase(it);
+  *it = route_.back();
+  route_.pop_back();
   if (exec.chain) {
     exec.chain->on_complete(h);
   } else {
@@ -409,10 +448,9 @@ void ProgressEngine::retire(Exec& exec) {
     r = exec.chain->result();
   } else {
     r = exec.cursor->result();
-    comm_->record_plan_event(mps::PlanEvent{exec.cache_hit,
-                                            exec.plan->round_count(),
-                                            r.bytes_sent, r.bytes_reduced,
-                                            exec.tag});
+    comm_->record_plan_event(mps::PlanEvent{
+        exec.cache_hit, exec.plan->round_count(), r.bytes_sent,
+        r.bytes_reduced, exec.tag, us_since(exec.started)});
   }
 
   if (exec.fused) {
@@ -440,15 +478,7 @@ void ProgressEngine::retire(Exec& exec) {
                                      r.bytes_reduced / group_size};
     }
   } else if (lead->spec.family == OpSpec::Family::kAllreduce) {
-    if (lead->spec.has_layout) {
-      const std::int64_t logical = lead->spec.recv_layout.block_bytes();
-      layout_scatter(lead->spec.recv, lead->spec.recv_layout, 0, 0, logical,
-                     std::span<const std::byte>(lead->gathered).first(
-                         static_cast<std::size_t>(logical)));
-    } else if (!lead->spec.recv.empty()) {
-      std::memcpy(lead->spec.recv.data(), lead->gathered.data(),
-                  lead->spec.recv.size());
-    }
+    if (!lead->gathered.empty()) lead->finish_allreduce();  // staged run
     lead->result = r;
   } else {
     lead->result = r;
@@ -580,29 +610,11 @@ void ProgressEngine::run_serial_op(Op& op) {
     case OpSpec::Family::kAllreduce: {
       // Same generic stage chain as the native path, driven by the
       // blocking composite runner (which records the per-stage events).
-      const std::int64_t n = spec.key.n;
-      const std::int64_t b = spec.block_bytes;
-      op.padded.assign(static_cast<std::size_t>(n * b), std::byte{0});
-      if (spec.has_layout) {
-        const std::int64_t logical = spec.send_layout.block_bytes();
-        layout_gather(spec.send, spec.send_layout, 0, 0, logical,
-                      std::span<std::byte>(op.padded).first(
-                          static_cast<std::size_t>(logical)));
-      } else if (!spec.send.empty()) {
-        std::memcpy(op.padded.data(), spec.send.data(), spec.send.size());
-      }
-      op.gathered.resize(static_cast<std::size_t>(n * b));
-      const CompositePlan chain =
-          CompositePlan::allreduce_chain(spec.key, spec.concat_key, n, b);
-      op.result = chain.run(*comm_, op.padded, op.gathered, &spec.op, start);
-      if (spec.has_layout) {
-        const std::int64_t logical = spec.recv_layout.block_bytes();
-        layout_scatter(spec.recv, spec.recv_layout, 0, 0, logical,
-                       std::span<const std::byte>(op.gathered).first(
-                           static_cast<std::size_t>(logical)));
-      } else if (!spec.recv.empty()) {
-        std::memcpy(spec.recv.data(), op.gathered.data(), spec.recv.size());
-      }
+      const AllreduceBuffers io = op.allreduce_stages();
+      const CompositePlan chain = CompositePlan::allreduce_chain(
+          spec.key, spec.concat_key, spec.key.n, spec.block_bytes);
+      op.result = chain.run(*comm_, io.send, io.recv, &spec.op, start);
+      if (io.staged) op.finish_allreduce();
       break;
     }
   }

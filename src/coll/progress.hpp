@@ -37,12 +37,15 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "coll/layout.hpp"
 #include "coll/plan_cache.hpp"
 #include "coll/reduction.hpp"
 #include "coll/request.hpp"
+#include "coll/workspace.hpp"
 #include "model/linear_model.hpp"
 #include "model/metrics.hpp"
 #include "mps/communicator.hpp"
@@ -135,6 +138,9 @@ class ProgressEngine {
 
   [[nodiscard]] const ProgressStats& stats() const { return stats_; }
 
+  /// The communicator's reusable executor memory (workspace.hpp).
+  [[nodiscard]] ExecWorkspace& workspace() { return workspace_; }
+
   // -- Request plumbing (called through the Request API; not meant to be
   //    used directly) ------------------------------------------------------
 
@@ -176,13 +182,18 @@ class ProgressEngine {
   /// Drive one cursor to completion, blocking (the fallback executor).
   PlanExecution drive_blocking(PlanCursor& cursor);
 
+  // Declared first so it outlives the cursors in live_, which hand their
+  // state back to it on destruction.
+  ExecWorkspace workspace_;
   mps::Communicator* comm_;
   bool native_ = false;
   std::uint64_t next_id_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<Op>> ops_;
   std::vector<std::uint64_t> pending_;  ///< submitted, unstarted (FIFO)
   std::vector<std::unique_ptr<Exec>> live_;
-  std::unordered_map<mps::PortHandle, Exec*> route_;
+  /// In-flight receive handle → the exec it completes (flat; a handful of
+  /// entries per live exec).
+  std::vector<std::pair<mps::PortHandle, Exec*>> route_;
   int serial_next_round_ = 0;  ///< fallback round chaining (shared tag 0)
   ProgressStats stats_;
 };

@@ -144,8 +144,9 @@ class Communicator {
                          std::span<const std::byte> data, int segments = 1,
                          int tag = 0);
 
-  /// Move-in overload: a packed staging buffer becomes the wire payload
-  /// without a copy.
+  /// Move-in overload: the deferred fallback keeps the buffer as its queued
+  /// payload without a copy; native engines treat it like the span overload
+  /// (the fabric copies the bytes into its channel).
   virtual void post_send(int round, std::int64_t dst,
                          std::vector<std::byte>&& data, int segments = 1,
                          int tag = 0);
@@ -157,9 +158,8 @@ class Communicator {
                                int tag = 0);
 
   /// Post one logical receive of `bytes` bytes into an engine-owned buffer;
-  /// retrieve it with take_payload() once complete.  Lets a non-contiguous
-  /// (scatter) receive consume the wire buffer directly instead of staging
-  /// a copy.
+  /// retrieve it with take_payload() once complete (each call allocates the
+  /// buffer; the plan executor lands in reused staging instead).
   virtual PortHandle post_recv_buffer(int round, std::int64_t src,
                                       std::int64_t bytes, int segments = 1,
                                       int tag = 0);
@@ -271,7 +271,8 @@ class Communicator {
   }
 
   /// Opaque per-communicator extension slot.  The coll:: progress engine
-  /// parks its per-communicator scheduler here so that state's lifetime
+  /// parks its per-communicator scheduler (which also owns the executor's
+  /// reusable workspace) here so that state's lifetime
   /// tracks the communicator's exactly (a process-global registry keyed by
   /// address would outlive the communicator and could be resurrected by
   /// heap address reuse).  Same single-thread contract as the rest of the

@@ -7,10 +7,21 @@
 
 namespace bruck::mps {
 
+MessageFifo* Mailbox::queue(std::int64_t src) {
+  if (src < 0 || src >= static_cast<std::int64_t>(queues_.size())) {
+    return nullptr;
+  }
+  return &queues_[static_cast<std::size_t>(src)];
+}
+
 void Mailbox::push(Message m) {
+  BRUCK_REQUIRE(m.src >= 0);
   {
     const std::scoped_lock lock(mu_);
-    queues_[m.src].push_back(std::move(m));
+    if (m.src >= static_cast<std::int64_t>(queues_.size())) {
+      queues_.resize(static_cast<std::size_t>(m.src) + 1);
+    }
+    queues_[static_cast<std::size_t>(m.src)].push(std::move(m));
   }
   cv_.notify_all();
 }
@@ -18,8 +29,8 @@ void Mailbox::push(Message m) {
 Message Mailbox::pop_from(std::int64_t src, std::chrono::milliseconds timeout) {
   std::unique_lock lock(mu_);
   const bool ok = cv_.wait_for(lock, timeout, [&] {
-    const auto it = queues_.find(src);
-    return it != queues_.end() && !it->second.empty();
+    const MessageFifo* q = queue(src);
+    return q != nullptr && !q->empty();
   });
   if (!ok) {
     std::ostringstream os;
@@ -27,21 +38,14 @@ Message Mailbox::pop_from(std::int64_t src, std::chrono::milliseconds timeout) {
        << timeout.count() << " ms (deadlock or mismatched exchange?)";
     throw ContractViolation(os.str());
   }
-  auto& q = queues_[src];
-  Message m = std::move(q.front());
-  q.pop_front();
-  return m;
+  return queue(src)->pop();
 }
 
 std::optional<Message> Mailbox::pop_any_locked(
     std::span<const std::int64_t> srcs) {
   for (const std::int64_t src : srcs) {
-    const auto it = queues_.find(src);
-    if (it != queues_.end() && !it->second.empty()) {
-      Message m = std::move(it->second.front());
-      it->second.pop_front();
-      return m;
-    }
+    MessageFifo* q = queue(src);
+    if (q != nullptr && !q->empty()) return q->pop();
   }
   return std::nullopt;
 }
@@ -67,15 +71,15 @@ std::optional<Message> Mailbox::pop_any(std::span<const std::int64_t> srcs,
 std::size_t Mailbox::pending() const {
   const std::scoped_lock lock(mu_);
   std::size_t total = 0;
-  for (const auto& [src, q] : queues_) total += q.size();
+  for (const MessageFifo& q : queues_) total += q.size();
   return total;
 }
 
 std::size_t Mailbox::pending_bytes() const {
   const std::scoped_lock lock(mu_);
   std::size_t total = 0;
-  for (const auto& [src, q] : queues_) {
-    for (const Message& m : q) total += m.size_bytes();
+  for (const MessageFifo& q : queues_) {
+    for (const Message& m : q.pending()) total += m.size_bytes();
   }
   return total;
 }

@@ -11,15 +11,48 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "mps/message.hpp"
 
 namespace bruck::mps {
+
+/// FIFO of messages over one reused vector: after warm-up, push and pop
+/// move messages without allocating (std::deque allocates and frees a node
+/// every few elements).
+class MessageFifo {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == items_.size(); }
+  [[nodiscard]] std::size_t size() const { return items_.size() - head_; }
+
+  void push(Message&& m) { items_.push_back(std::move(m)); }
+
+  /// Remove and return the oldest message.  Precondition: !empty().
+  Message pop() {
+    Message m = std::move(items_[head_++]);
+    if (head_ == items_.size()) {
+      items_.clear();  // keeps the capacity
+      head_ = 0;
+    } else if (head_ >= 64 && 2 * head_ >= items_.size()) {
+      // A queue that never fully drains still compacts.
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return m;
+  }
+
+  [[nodiscard]] std::span<const Message> pending() const {
+    return std::span<const Message>(items_).subspan(head_);
+  }
+
+ private:
+  std::vector<Message> items_;
+  std::size_t head_ = 0;
+};
 
 /// Thread safety: every method is internally synchronized on one mutex per
 /// mailbox; `push` is wait-free with respect to receivers (sends never
@@ -63,10 +96,14 @@ class Mailbox {
  private:
   /// Pop the oldest message among `srcs`, assuming mu_ is held.
   std::optional<Message> pop_any_locked(std::span<const std::int64_t> srcs);
+  /// The queue of `src`, or null when nothing was ever pushed from it
+  /// (mu_ held).
+  [[nodiscard]] MessageFifo* queue(std::int64_t src);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::unordered_map<std::int64_t, std::deque<Message>> queues_;
+  /// Per-source FIFOs indexed by source rank, grown on first push.
+  std::vector<MessageFifo> queues_;
 };
 
 }  // namespace bruck::mps

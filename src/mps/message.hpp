@@ -3,13 +3,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 namespace bruck::mps {
 
-struct Message {
+/// Metadata of one wire segment.  The port engine hands segments to a
+/// fabric as (header, byte view) pairs, so a send never materializes an
+/// owned message unless the fabric itself must queue the bytes.
+struct WireHeader {
   std::int64_t src = 0;
   std::int64_t dst = 0;
   /// Per-(src, dst, tag) sequence number assigned by the sender; receivers
@@ -24,29 +26,16 @@ struct Message {
   /// Global communication-round index supplied by the algorithm; carried for
   /// trace/bookkeeping only (matching is FIFO per channel).
   int round = 0;
-  /// Owned payload storage.  The port engine moves buffers end-to-end:
-  /// a packed send's staging vector becomes this member without a copy, and
-  /// a whole-message receive can steal it back out.
+};
+
+/// A wire segment with owned bytes: the thread fabric's mailbox deposit
+/// (its payload vectors are recycled, so a warm fabric queues without
+/// allocating).
+struct Message : WireHeader {
   std::vector<std::byte> payload;
-  /// Segmented sends ship one logical buffer as several wire messages
-  /// without copying: each segment shares ownership of the buffer and views
-  /// its own [shared_offset, shared_offset + shared_length) slice.  When
-  /// `shared` is null the message is unsegmented and `payload` holds the
-  /// bytes.
-  std::shared_ptr<const std::vector<std::byte>> shared;
-  std::int64_t shared_offset = 0;
-  std::int64_t shared_length = 0;
 
-  /// The bytes this wire message carries, wherever they live.
-  [[nodiscard]] std::span<const std::byte> view() const {
-    if (shared) {
-      return std::span<const std::byte>(shared->data() + shared_offset,
-                                        static_cast<std::size_t>(shared_length));
-    }
-    return payload;
-  }
-
-  [[nodiscard]] std::size_t size_bytes() const { return view().size(); }
+  [[nodiscard]] std::span<const std::byte> view() const { return payload; }
+  [[nodiscard]] std::size_t size_bytes() const { return payload.size(); }
 };
 
 }  // namespace bruck::mps

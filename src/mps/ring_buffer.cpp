@@ -115,7 +115,8 @@ bool MpscByteRing::try_push(const RingFrame& frame,
   return true;
 }
 
-bool MpscByteRing::try_pop(Message& out) {
+bool MpscByteRing::try_peek(RingFrame& frame,
+                            std::span<const std::byte>& payload) {
   for (;;) {
     const std::uint64_t head = ctl_->head.load(std::memory_order_relaxed);
     if (head == ctl_->tail.load(std::memory_order_acquire)) return false;
@@ -130,24 +131,41 @@ bool MpscByteRing::try_pop(Message& out) {
       ctl_->head.store(head + total, std::memory_order_release);
       continue;
     }
-    out.src = h->src;
-    out.seq = h->seq;
-    out.tag = h->tag;
-    out.round = h->round;
-    out.shared.reset();
-    out.shared_offset = 0;
-    out.shared_length = 0;
-    out.payload.assign(
-        data_ + slot + sizeof(RecordHeader),
-        data_ + slot + sizeof(RecordHeader) + h->payload_bytes);
-    ctl_->pending_payload.fetch_sub(h->payload_bytes,
-                                    std::memory_order_relaxed);
-    // Zero before freeing: the next lap's producers must find zero commit
-    // words anywhere in the region they reserve.
-    std::memset(data_ + slot, 0, static_cast<std::size_t>(total));
-    ctl_->head.store(head + total, std::memory_order_release);
+    frame.src = h->src;
+    frame.seq = h->seq;
+    frame.tag = h->tag;
+    frame.round = h->round;
+    payload = std::span<const std::byte>(data_ + slot + sizeof(RecordHeader),
+                                         h->payload_bytes);
+    peek_head_ = head;
+    peek_total_ = total;
+    peek_payload_ = h->payload_bytes;
     return true;
   }
+}
+
+void MpscByteRing::consume() {
+  BRUCK_REQUIRE_MSG(peek_total_ != 0, "consume() without a peeked record");
+  ctl_->pending_payload.fetch_sub(peek_payload_, std::memory_order_relaxed);
+  // Zero before freeing: the next lap's producers must find zero commit
+  // words anywhere in the region they reserve.
+  std::memset(data_ + (peek_head_ & (capacity_ - 1)), 0,
+              static_cast<std::size_t>(peek_total_));
+  ctl_->head.store(peek_head_ + peek_total_, std::memory_order_release);
+  peek_total_ = 0;
+}
+
+bool MpscByteRing::try_pop(Message& out) {
+  RingFrame frame;
+  std::span<const std::byte> payload;
+  if (!try_peek(frame, payload)) return false;
+  out.src = frame.src;
+  out.seq = frame.seq;
+  out.tag = frame.tag;
+  out.round = frame.round;
+  out.payload.assign(payload.begin(), payload.end());
+  consume();
+  return true;
 }
 
 std::size_t MpscByteRing::pending_bytes() const {

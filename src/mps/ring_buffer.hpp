@@ -83,9 +83,20 @@ class MpscByteRing {
   /// segment).
   bool try_push(const RingFrame& frame, std::span<const std::byte> payload);
 
-  /// Consumer side (owning rank only): pop the oldest record into `out`
-  /// (src/seq/tag/round/payload filled; dst left untouched).  False when
-  /// the ring is empty or the oldest reservation is not yet published.
+  /// Consumer side (owning rank only): expose the oldest published record
+  /// in place — its frame and a view of its payload inside the ring — so
+  /// the consumer can copy the bytes straight to their destination.  The
+  /// view stays valid until consume(); the record stays queued until then.
+  /// False when the ring is empty or the oldest reservation is not yet
+  /// published.
+  bool try_peek(RingFrame& frame, std::span<const std::byte>& payload);
+
+  /// Consumer side: zero and free the record the last successful
+  /// try_peek() exposed.
+  void consume();
+
+  /// Consumer side: pop the oldest record into `out` (src/seq/tag/round/
+  /// payload filled; dst left untouched) — try_peek + copy + consume.
   bool try_pop(Message& out);
 
   /// Payload bytes currently queued (published and not yet consumed) —
@@ -130,6 +141,10 @@ class MpscByteRing {
   Control* ctl_ = nullptr;
   std::byte* data_ = nullptr;
   std::size_t capacity_ = 0;
+  /// The record try_peek() exposed (consumer side; total 0 = none).
+  std::uint64_t peek_head_ = 0;
+  std::uint64_t peek_total_ = 0;
+  std::uint32_t peek_payload_ = 0;
 };
 
 }  // namespace bruck::mps

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -211,6 +212,10 @@ ShmComm::ShmComm(void* region, std::int64_t rank)
   recv_timeout_ = std::chrono::milliseconds(c->recv_timeout_ms);
   BRUCK_REQUIRE(rank_ >= 0 && rank_ < n_);
   inbound_ = MpscByteRing::open(ring_base(region_, c, rank_));
+  // Early arrivals and backpressure drains come out of the inbound ring;
+  // twice its capacity (at least 1 MiB) covers what peers running a round
+  // or two ahead leave in the stash.
+  reserve_stash(std::max(2 * inbound_.capacity(), std::size_t{1} << 20));
   peer_ring_.reserve(static_cast<std::size_t>(n_));
   for (std::int64_t r = 0; r < n_; ++r) {
     peer_ring_.push_back(MpscByteRing::open(ring_base(region_, c, r)));
@@ -223,27 +228,29 @@ void ShmComm::check_abort() const {
       "shm fabric aborted: a peer rank exited abnormally");
 }
 
-void ShmComm::wire_push(Message&& m) {
+void ShmComm::wire_push(const WireHeader& h,
+                        std::span<const std::byte> payload) {
   RingFrame frame;
-  frame.src = m.src;
-  frame.seq = m.seq;
-  frame.tag = m.tag;
-  frame.round = m.round;
-  const std::span<const std::byte> payload = m.view();
-  MpscByteRing& ring = peer_ring_[static_cast<std::size_t>(m.dst)];
+  frame.src = h.src;
+  frame.seq = h.seq;
+  frame.tag = h.tag;
+  frame.round = h.round;
+  MpscByteRing& ring = peer_ring_[static_cast<std::size_t>(h.dst)];
   if (ring.try_push(frame, payload)) return;
   // Backpressure: the destination ring is full.  Drain our own inbound ring
   // while waiting — two ranks pushing into each other's full rings must not
   // deadlock — and give the whole retry loop one deadline.
+  ++full_ring_waits_;
   const DrainDeadline deadline(recv_timeout_);
   Backoff backoff;
   for (;;) {
     check_abort();
     bool drained = false;
-    Message in;
-    while (inbound_.try_pop(in)) {
-      in.dst = rank_;
-      pending_in_.push_back(std::move(in));
+    RingFrame in;
+    std::span<const std::byte> bytes;
+    while (inbound_.try_peek(in, bytes)) {
+      defer_wire(WireHeader{in.src, rank_, in.seq, in.tag, in.round}, bytes);
+      inbound_.consume();
       drained = true;
     }
     if (ring.try_push(frame, payload)) return;
@@ -258,33 +265,31 @@ void ShmComm::wire_push(Message&& m) {
   }
 }
 
-std::optional<Message> ShmComm::wire_pop(
-    std::span<const std::int64_t> waiting_srcs,
-    std::chrono::milliseconds timeout) {
+bool ShmComm::take_one() {
+  RingFrame frame;
+  std::span<const std::byte> payload;
+  if (!inbound_.try_peek(frame, payload)) return false;
+  // The engine copies the record straight out of the ring into its landing
+  // span; only then is the record zeroed and freed.
+  on_wire(WireHeader{frame.src, rank_, frame.seq, frame.tag, frame.round},
+          payload);
+  inbound_.consume();
+  return true;
+}
+
+bool ShmComm::wire_poll(std::span<const std::int64_t> waiting_srcs,
+                        std::chrono::milliseconds timeout) {
   // Single inbound channel: the filter is unused (the engine stashes
   // messages from sources it is not yet waiting for).
   (void)waiting_srcs;
-  auto take = [this]() -> std::optional<Message> {
-    if (!pending_in_.empty()) {
-      Message m = std::move(pending_in_.front());
-      pending_in_.pop_front();
-      return m;
-    }
-    Message m;
-    if (inbound_.try_pop(m)) {
-      m.dst = rank_;
-      return m;
-    }
-    return std::nullopt;
-  };
-  if (auto m = take()) return m;
-  if (timeout.count() == 0) return std::nullopt;
+  if (take_one()) return true;
+  if (timeout.count() == 0) return false;
   const DrainDeadline deadline(timeout);
   Backoff backoff;
   for (;;) {
     check_abort();
-    if (auto m = take()) return m;
-    if (deadline.expired()) return std::nullopt;
+    if (take_one()) return true;
+    if (deadline.expired()) return false;
     backoff.pause();
   }
 }

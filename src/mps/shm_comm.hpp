@@ -16,11 +16,16 @@
 // ShmComm subclasses WirePortEngine, so the entire nonblocking port-engine
 // contract — matching, per-tag sequencing, early-arrival stash, drain
 // deadlines — is the same tested machinery ThreadComm runs; only the three
-// wire hooks differ.  Because rings are bounded, wire_push under
-// backpressure *eagerly drains* this rank's own inbound ring into a local
-// pending queue while waiting for space (two ranks pushing into each
-// other's full rings would otherwise deadlock); wire_pop serves that queue
-// first.
+// wire hooks differ.  A payload byte is copied once per side: wire_push
+// copies the sender's span straight into the destination ring, and
+// wire_poll hands the engine a view of the ring record in place, which the
+// engine copies straight into the posted landing span before the record is
+// zeroed and freed.  Because rings are bounded, wire_push under
+// backpressure *eagerly drains* this rank's own inbound ring into the
+// engine's stash (WirePortEngine::defer_wire) while waiting for space (two
+// ranks pushing into each other's full rings would otherwise deadlock);
+// the engine matches those segments before anything wire_poll surfaces
+// later.
 //
 // Failure story: the launcher (spawn_local) sets the region's abort flag
 // when any rank process dies, and every blocking loop in here (push
@@ -31,7 +36,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -116,10 +120,17 @@ class ShmComm final : public WirePortEngine {
   /// the parent to assemble a full Trace.
   [[nodiscard]] const TraceSink& trace_sink() const { return sink_; }
 
+  /// Pushes that found their destination ring full and waited out the
+  /// backpressure (diagnostics).
+  [[nodiscard]] std::uint64_t full_ring_waits() const {
+    return full_ring_waits_;
+  }
+
  protected:
-  void wire_push(Message&& m) override;
-  std::optional<Message> wire_pop(std::span<const std::int64_t> waiting_srcs,
-                                  std::chrono::milliseconds timeout) override;
+  void wire_push(const WireHeader& h,
+                 std::span<const std::byte> payload) override;
+  bool wire_poll(std::span<const std::int64_t> waiting_srcs,
+                 std::chrono::milliseconds timeout) override;
   void record_send_event(int round, std::int64_t dst, std::int64_t bytes,
                          int tag) override;
 
@@ -131,6 +142,8 @@ class ShmComm final : public WirePortEngine {
   [[nodiscard]] Control* control() const;
   /// Throw if the abort flag is up (peer death / launcher teardown).
   void check_abort() const;
+  /// Hand the oldest ring record to the engine in place; false if none.
+  bool take_one();
 
   std::byte* region_ = nullptr;
   std::int64_t rank_ = 0;
@@ -140,8 +153,7 @@ class ShmComm final : public WirePortEngine {
   std::chrono::milliseconds recv_timeout_{30000};
   MpscByteRing inbound_;                 ///< this rank's ring (consumer side)
   std::vector<MpscByteRing> peer_ring_;  ///< producer handles, indexed by dst
-  /// Messages drained from `inbound_` while waiting out push backpressure.
-  std::deque<Message> pending_in_;
+  std::uint64_t full_ring_waits_ = 0;
   TraceSink sink_;
 };
 

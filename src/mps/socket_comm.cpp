@@ -116,6 +116,7 @@ SocketComm::SocketComm(SocketFabricOptions options)
   BRUCK_REQUIRE(static_cast<std::int64_t>(options_.ports.size()) == options_.n);
   epoll_fd_ = ::epoll_create1(0);
   BRUCK_REQUIRE_MSG(epoll_fd_ >= 0, "epoll_create1 failed");
+  reserve_stash(std::size_t{1} << 20);
   connect_mesh();
 }
 
@@ -204,7 +205,7 @@ SocketComm::~SocketComm() {
     for (;;) {
       bool unsent = false;
       for (const Peer& p : peers_) {
-        if (p.fd >= 0 && !p.eof && !p.outbox.empty()) unsent = true;
+        if (p.fd >= 0 && !p.eof && p.unsent()) unsent = true;
       }
       if (!unsent || deadline.expired()) break;
       pump(std::chrono::milliseconds(10));
@@ -234,6 +235,16 @@ void SocketComm::enqueue_frame(std::int64_t dst, std::uint32_t kind,
   Peer& p = peers_[static_cast<std::size_t>(dst)];
   BRUCK_REQUIRE_MSG(!p.eof, "send to peer rank " + std::to_string(dst) +
                                 " after it closed its connection");
+  if (!p.unsent()) {
+    p.outbox.clear();  // keeps the capacity
+    p.out_head = 0;
+  } else if (p.out_head >= (std::size_t{1} << 16) &&
+             2 * p.out_head >= p.outbox.size()) {
+    // A backlogged link still drops its flushed prefix.
+    p.outbox.erase(p.outbox.begin(),
+                   p.outbox.begin() + static_cast<std::ptrdiff_t>(p.out_head));
+    p.out_head = 0;
+  }
   const auto* hb = reinterpret_cast<const std::byte*>(&h);
   p.outbox.insert(p.outbox.end(), hb, hb + sizeof(h));
   p.outbox.insert(p.outbox.end(), payload.begin(), payload.end());
@@ -243,15 +254,14 @@ void SocketComm::enqueue_frame(std::int64_t dst, std::uint32_t kind,
 void SocketComm::flush_outbox(std::int64_t peer) {
   Peer& p = peers_[static_cast<std::size_t>(peer)];
   if (p.fd < 0 || p.eof) return;
-  std::byte chunk[64 * 1024];
   bool blocked = false;
-  while (!p.outbox.empty()) {
-    const std::size_t want = std::min(
-        {p.outbox.size(), sizeof(chunk), max_write_bytes_});
-    std::copy_n(p.outbox.begin(), want, chunk);
-    const ssize_t w = ::send(p.fd, chunk, want, MSG_NOSIGNAL);
+  while (p.unsent()) {
+    const std::size_t want =
+        std::min(p.outbox.size() - p.out_head, max_write_bytes_);
+    const ssize_t w =
+        ::send(p.fd, p.outbox.data() + p.out_head, want, MSG_NOSIGNAL);
     if (w > 0) {
-      p.outbox.erase(p.outbox.begin(), p.outbox.begin() + w);
+      p.out_head += static_cast<std::size_t>(w);
       continue;  // short write: loop re-tries the tail immediately
     }
     if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -261,7 +271,11 @@ void SocketComm::flush_outbox(std::int64_t peer) {
     BRUCK_REQUIRE_MSG(false, "peer rank " + std::to_string(peer) +
                                  " closed its connection mid-send");
   }
-  // Level-triggered EPOLLOUT only while a tail is actually pending.
+  // Level-triggered EPOLLOUT only while a tail is actually pending; the
+  // registration changes only when that state flips, so an unblocked send
+  // costs one syscall.
+  if (blocked == p.watch_out) return;
+  p.watch_out = blocked;
   epoll_event ev{};
   ev.events = blocked ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
   ev.data.u64 = static_cast<std::uint64_t>(peer);
@@ -271,7 +285,7 @@ void SocketComm::flush_outbox(std::int64_t peer) {
 void SocketComm::flush_all_outboxes() {
   for (std::int64_t r = 0; r < options_.n; ++r) {
     if (r == options_.rank) continue;
-    if (!peers_[static_cast<std::size_t>(r)].outbox.empty()) flush_outbox(r);
+    if (peers_[static_cast<std::size_t>(r)].unsent()) flush_outbox(r);
   }
 }
 
@@ -305,17 +319,13 @@ void SocketComm::read_from_peer(std::int64_t peer) {
     if (p.inbuf.size() - consumed < total) break;
     const std::byte* body = p.inbuf.data() + consumed + sizeof(FrameHeader);
     switch (h.kind) {
-      case kData: {
-        Message m;
-        m.src = h.src;
-        m.dst = options_.rank;
-        m.seq = h.seq;
-        m.tag = h.tag;
-        m.round = h.round;
-        m.payload.assign(body, body + h.payload_bytes);
-        inbox_.push_back(std::move(m));
+      case kData:
+        // The engine copies the payload straight out of the parse buffer.
+        on_wire(WireHeader{h.src, options_.rank, h.seq, h.tag, h.round},
+                std::span<const std::byte>(
+                    body, static_cast<std::size_t>(h.payload_bytes)));
+        ++data_frames_;
         break;
-      }
       case kBarrierArrive:
         ++barrier_arrivals_;
         break;
@@ -353,42 +363,33 @@ void SocketComm::require_alive(std::int64_t src) const {
   const Peer& p = peers_[static_cast<std::size_t>(src)];
   if (!p.eof) return;
   // A closed connection is fine as long as every frame we still need from
-  // that peer already arrived; parse leftovers or inbox entries mean data
-  // is still flowing through.
+  // that peer already arrived (parsed frames were handed to the engine at
+  // once); parse leftovers mean data is still flowing through.
   if (!p.inbuf.empty()) return;
-  for (const Message& m : inbox_) {
-    if (m.src == src) return;
-  }
   BRUCK_REQUIRE_MSG(false,
                     "peer rank " + std::to_string(src) +
                         " died (connection closed) while traffic from it "
                         "was still expected");
 }
 
-void SocketComm::wire_push(Message&& m) {
-  enqueue_frame(m.dst, kData, m.seq, m.tag, m.round, m.view());
+void SocketComm::wire_push(const WireHeader& h,
+                           std::span<const std::byte> payload) {
+  enqueue_frame(h.dst, kData, h.seq, h.tag, h.round, payload);
 }
 
-std::optional<Message> SocketComm::wire_pop(
-    std::span<const std::int64_t> waiting_srcs,
-    std::chrono::milliseconds timeout) {
-  auto take = [this]() -> std::optional<Message> {
-    if (inbox_.empty()) return std::nullopt;
-    Message m = std::move(inbox_.front());
-    inbox_.pop_front();
-    return m;
-  };
-  if (auto m = take()) return m;
-  if (timeout.count() == 0) {
-    pump(std::chrono::milliseconds(0));
-    return take();
+bool SocketComm::wire_poll(std::span<const std::int64_t> waiting_srcs,
+                           std::chrono::milliseconds timeout) {
+  const std::uint64_t before = data_frames_;
+  pump(std::chrono::milliseconds(0));
+  if (data_frames_ != before || timeout.count() == 0) {
+    return data_frames_ != before;
   }
   const DrainDeadline deadline(timeout);
   for (;;) {
     for (const std::int64_t src : waiting_srcs) require_alive(src);
     pump(std::min(deadline.remaining(), std::chrono::milliseconds(50)));
-    if (auto m = take()) return m;
-    if (deadline.expired()) return std::nullopt;
+    if (data_frames_ != before) return true;
+    if (deadline.expired()) return false;
   }
 }
 

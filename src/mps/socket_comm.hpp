@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -82,20 +81,26 @@ class SocketComm final : public WirePortEngine {
   [[nodiscard]] const TraceSink& trace_sink() const { return sink_; }
 
  protected:
-  void wire_push(Message&& m) override;
-  std::optional<Message> wire_pop(std::span<const std::int64_t> waiting_srcs,
-                                  std::chrono::milliseconds timeout) override;
+  void wire_push(const WireHeader& h,
+                 std::span<const std::byte> payload) override;
+  bool wire_poll(std::span<const std::int64_t> waiting_srcs,
+                 std::chrono::milliseconds timeout) override;
   void record_send_event(int round, std::int64_t dst, std::int64_t bytes,
                          int tag) override;
 
  private:
-  /// Per-peer connection state: the socket, its unsent outbox tail, and the
+  /// Per-peer connection state: the socket, its unsent outbox tail
+  /// (bytes [out_head, size) of `outbox`; the vector is reused), and the
   /// incremental parse buffer of its inbound byte stream.
   struct Peer {
     int fd = -1;
     bool eof = false;
-    std::deque<std::byte> outbox;
+    std::vector<std::byte> outbox;
+    std::size_t out_head = 0;
+    bool watch_out = false;  ///< EPOLLOUT currently registered
     std::vector<std::byte> inbuf;
+
+    [[nodiscard]] bool unsent() const { return out_head < outbox.size(); }
   };
 
   void connect_mesh();
@@ -108,7 +113,8 @@ class SocketComm final : public WirePortEngine {
   void flush_outbox(std::int64_t peer);
   void flush_all_outboxes();
   /// Drain readable bytes from peer's socket into its parse buffer and
-  /// extract complete frames (data ⇒ inbox_, barrier ⇒ counters).
+  /// extract complete frames (data ⇒ on_wire straight from the parse
+  /// buffer, barrier ⇒ counters).
   void read_from_peer(std::int64_t peer);
   /// One epoll pass: flush outboxes, wait up to `wait`, ingest readable
   /// sockets.  Returns true if any frame or write progress happened.
@@ -121,7 +127,7 @@ class SocketComm final : public WirePortEngine {
   int epoll_fd_ = -1;
   std::size_t max_write_bytes_;  ///< per-::send cap (test knob)
   std::vector<Peer> peers_;      ///< indexed by rank; self entry unused
-  std::deque<Message> inbox_;    ///< parsed data frames, arrival order
+  std::uint64_t data_frames_ = 0;  ///< data frames handed to on_wire
   // Rank-0-coordinated barrier state.
   std::int64_t barrier_arrivals_ = 0;  ///< rank 0: arrive frames this generation
   std::int64_t barrier_generation_ = 0;

@@ -66,16 +66,39 @@ ThreadComm::ThreadComm(Fabric& fabric, std::int64_t rank)
   BRUCK_REQUIRE(rank >= 0 && rank < fabric.n());
 }
 
-void ThreadComm::wire_push(Message&& m) {
-  fabric_->mailbox(m.dst).push(std::move(m));
+namespace {
+
+/// Spare deposit buffers kept per rank: enough for every segment in flight
+/// of a few concurrent collectives, while one burst cannot pin memory
+/// forever.
+constexpr std::size_t kMaxSpareBuffers = 64;
+
+}  // namespace
+
+void ThreadComm::wire_push(const WireHeader& h,
+                           std::span<const std::byte> payload) {
+  Message m;
+  static_cast<WireHeader&>(m) = h;
+  if (!spare_.empty()) {
+    m.payload = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  m.payload.assign(payload.begin(), payload.end());
+  fabric_->mailbox(h.dst).push(std::move(m));
 }
 
-std::optional<Message> ThreadComm::wire_pop(
-    std::span<const std::int64_t> waiting_srcs,
-    std::chrono::milliseconds timeout) {
+bool ThreadComm::wire_poll(std::span<const std::int64_t> waiting_srcs,
+                           std::chrono::milliseconds timeout) {
   Mailbox& box = fabric_->mailbox(rank_);
-  if (timeout.count() == 0) return box.try_pop_any(waiting_srcs);
-  return box.pop_any(waiting_srcs, timeout);
+  std::optional<Message> m = timeout.count() == 0
+                                 ? box.try_pop_any(waiting_srcs)
+                                 : box.pop_any(waiting_srcs, timeout);
+  if (!m.has_value()) return false;
+  on_wire(*m, m->view());
+  if (spare_.size() < kMaxSpareBuffers) {
+    spare_.push_back(std::move(m->payload));
+  }
+  return true;
 }
 
 void ThreadComm::record_send_event(int round, std::int64_t dst,

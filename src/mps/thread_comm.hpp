@@ -3,11 +3,14 @@
 // ThreadComm facade bound to its rank.
 //
 // ThreadComm is the WirePortEngine instantiated over mutex/condvar
-// mailboxes: wire_push deposits (optionally segmented) wire messages into
-// the destination mailbox immediately and never blocks; wire_pop pulls from
-// this rank's own mailbox, filtered to the sources the engine is waiting
-// on.  All the matching/ordering machinery (arrival-order completion, tag
-// namespaces, early-arrival stash, seq checks) lives in the shared engine —
+// mailboxes: wire_push copies each wire segment into a recycled buffer and
+// deposits it into the destination mailbox immediately (never blocking);
+// wire_poll pulls from this rank's own mailbox, filtered to the sources the
+// engine is waiting on, and keeps the buffer for reuse once the engine has
+// copied the bytes out.  It is the one fabric whose channel cannot hold the
+// bytes itself, so the only one that queues a copy.  All the
+// matching/ordering machinery (arrival-order completion, tag namespaces,
+// early-arrival stash, seq checks) lives in the shared engine —
 // ThreadComm stays the bitwise *oracle* substrate the process-spanning
 // backends (shm_comm.hpp, socket_comm.hpp) are differentially tested
 // against.
@@ -113,15 +116,19 @@ class ThreadComm final : public WirePortEngine {
   void record_plan_event(const PlanEvent& event) override;
 
  protected:
-  void wire_push(Message&& m) override;
-  std::optional<Message> wire_pop(std::span<const std::int64_t> waiting_srcs,
-                                  std::chrono::milliseconds timeout) override;
+  void wire_push(const WireHeader& h,
+                 std::span<const std::byte> payload) override;
+  bool wire_poll(std::span<const std::int64_t> waiting_srcs,
+                 std::chrono::milliseconds timeout) override;
   void record_send_event(int round, std::int64_t dst, std::int64_t bytes,
                          int tag) override;
 
  private:
   Fabric* fabric_;
   std::int64_t rank_;
+  /// Buffers of consumed deposits.  Traffic is symmetric in the
+  /// collectives, so what a rank receives refills what it sends from.
+  std::vector<std::vector<std::byte>> spare_;
 };
 
 }  // namespace bruck::mps

@@ -1,12 +1,20 @@
-// Minimal wall-clock probe for examples and tools: best-of-N milliseconds
-// of a callable — the usual defense against scheduler noise when printing
-// a single comparison line.  (Benchmarks proper use google-benchmark.)
+// Minimal wall-clock probes: best-of-N milliseconds of a callable for
+// examples and tools — the usual defense against scheduler noise when
+// printing a single comparison line — and the elapsed-µs reading the
+// executors put on PlanEvent::wall_us.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 
 namespace bruck {
+
+/// Microseconds elapsed since `start` on the steady clock.
+inline double us_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 template <typename F>
 double best_of_ms(int reps, F&& f) {
