@@ -60,6 +60,11 @@ class DrainDeadline {
   /// True once the budget is exhausted.
   [[nodiscard]] bool expired() const { return remaining().count() == 0; }
 
+  /// The instant the budget runs out.
+  [[nodiscard]] std::chrono::steady_clock::time_point at() const {
+    return deadline_;
+  }
+
  private:
   std::chrono::steady_clock::time_point deadline_;
   std::chrono::milliseconds budget_;

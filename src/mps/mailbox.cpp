@@ -22,8 +22,14 @@ void Mailbox::push(Message m) {
       queues_.resize(static_cast<std::size_t>(m.src) + 1);
     }
     queues_[static_cast<std::size_t>(m.src)].push(std::move(m));
+    queued_.fetch_add(1, std::memory_order_relaxed);
   }
   cv_.notify_all();
+}
+
+Message Mailbox::pop_locked(MessageFifo& q) {
+  queued_.fetch_sub(1, std::memory_order_relaxed);
+  return q.pop();
 }
 
 Message Mailbox::pop_from(std::int64_t src, std::chrono::milliseconds timeout) {
@@ -38,20 +44,24 @@ Message Mailbox::pop_from(std::int64_t src, std::chrono::milliseconds timeout) {
        << timeout.count() << " ms (deadlock or mismatched exchange?)";
     throw ContractViolation(os.str());
   }
-  return queue(src)->pop();
+  return pop_locked(*queue(src));
 }
 
 std::optional<Message> Mailbox::pop_any_locked(
     std::span<const std::int64_t> srcs) {
   for (const std::int64_t src : srcs) {
     MessageFifo* q = queue(src);
-    if (q != nullptr && !q->empty()) return q->pop();
+    if (q != nullptr && !q->empty()) return pop_locked(*q);
   }
   return std::nullopt;
 }
 
 std::optional<Message> Mailbox::try_pop_any(
     std::span<const std::int64_t> srcs) {
+  // Relaxed is enough: a push this load misses is simply not here yet (the
+  // probe may miss a concurrent push), and a nonzero count sends us to the
+  // mutex, which orders everything the pop reads.
+  if (queued_.load(std::memory_order_relaxed) == 0) return std::nullopt;
   const std::scoped_lock lock(mu_);
   return pop_any_locked(srcs);
 }
@@ -66,13 +76,6 @@ std::optional<Message> Mailbox::pop_any(std::span<const std::int64_t> srcs,
     return m.has_value();
   });
   return m;
-}
-
-std::size_t Mailbox::pending() const {
-  const std::scoped_lock lock(mu_);
-  std::size_t total = 0;
-  for (const MessageFifo& q : queues_) total += q.size();
-  return total;
 }
 
 std::size_t Mailbox::pending_bytes() const {

@@ -8,6 +8,7 @@
 // nonblocking probe and a blocking wait.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -26,7 +27,6 @@ namespace bruck::mps {
 class MessageFifo {
  public:
   [[nodiscard]] bool empty() const { return head_ == items_.size(); }
-  [[nodiscard]] std::size_t size() const { return items_.size() - head_; }
 
   void push(Message&& m) { items_.push_back(std::move(m)); }
 
@@ -56,8 +56,11 @@ class MessageFifo {
 
 /// Thread safety: every method is internally synchronized on one mutex per
 /// mailbox; `push` is wait-free with respect to receivers (sends never
-/// block).  Trace: the mailbox records nothing — trace events are the
-/// sender's post-time responsibility.
+/// block).  An atomic count of queued messages lets `try_pop_any` on an
+/// empty mailbox return without taking the mutex its senders need, so a
+/// receiver spinning on the probe does not slow them down.  Trace: the
+/// mailbox records nothing — trace events are the sender's post-time
+/// responsibility.
 class Mailbox {
  public:
   Mailbox() = default;
@@ -86,8 +89,10 @@ class Mailbox {
   [[nodiscard]] std::optional<Message> pop_any(
       std::span<const std::int64_t> srcs, std::chrono::milliseconds timeout);
 
-  /// Number of queued messages over all sources (diagnostics; O(sources)).
-  [[nodiscard]] std::size_t pending() const;
+  /// Number of queued messages over all sources.
+  [[nodiscard]] std::size_t pending() const {
+    return queued_.load(std::memory_order_relaxed);
+  }
 
   /// Total payload bytes queued over all sources (diagnostics: how much
   /// data is buffered in-flight toward this rank).
@@ -96,6 +101,8 @@ class Mailbox {
  private:
   /// Pop the oldest message among `srcs`, assuming mu_ is held.
   std::optional<Message> pop_any_locked(std::span<const std::int64_t> srcs);
+  /// Pop the oldest message of `q` (mu_ held).
+  Message pop_locked(MessageFifo& q);
   /// The queue of `src`, or null when nothing was ever pushed from it
   /// (mu_ held).
   [[nodiscard]] MessageFifo* queue(std::int64_t src);
@@ -104,6 +111,8 @@ class Mailbox {
   std::condition_variable cv_;
   /// Per-source FIFOs indexed by source rank, grown on first push.
   std::vector<MessageFifo> queues_;
+  /// Messages queued over all sources; written only under mu_.
+  std::atomic<std::size_t> queued_{0};
 };
 
 }  // namespace bruck::mps

@@ -1,13 +1,28 @@
 #include "mps/port_engine.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
+#include "mps/backoff.hpp"
 #include "util/assert.hpp"
 
 namespace bruck::mps {
+
+namespace {
+
+/// True when the calling thread may run on exactly one CPU.
+bool calling_thread_bound_to_one_cpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  return ::sched_getaffinity(0, sizeof(allowed), &allowed) == 0 &&
+         CPU_COUNT(&allowed) == 1;
+}
+
+}  // namespace
 
 std::int64_t wire_segment_length(std::int64_t total, int segments, int i) {
   const std::int64_t base = total / segments;
@@ -341,15 +356,38 @@ bool WirePortEngine::try_progress() {
          wire_poll(waiting_srcs_, std::chrono::milliseconds{0});
 }
 
+bool WirePortEngine::spin_for_arrival(const DrainDeadline& deadline) {
+  const auto stop = std::min(
+      std::chrono::steady_clock::now() + kWaitSpinBudget, deadline.at());
+  Backoff backoff;
+  do {
+    if (wire_poll(waiting_srcs_, std::chrono::milliseconds{0})) return true;
+    backoff.spin();
+  } while (std::chrono::steady_clock::now() < stop);
+  return false;
+}
+
 void WirePortEngine::progress_blocking(const DrainDeadline& deadline) {
   if (redeliver_deferred()) return;
+  if (!core_bound_.has_value()) {
+    core_bound_ = calling_thread_bound_to_one_cpu();
+  }
+  if (*core_bound_ && spin_for_arrival(deadline)) return;
+  // A park pays a kernel wake-up anyway; re-reading the binding here lets a
+  // thread that is re-bound mid-run switch policy at its next wait.
+  core_bound_ = calling_thread_bound_to_one_cpu();
   if (wire_poll(waiting_srcs_, deadline.remaining())) return;
   std::ostringstream os;
   os << "rank " << rank() << ": port-engine receive timed out after "
      << deadline.budget().count()
-     << " ms (one whole-drain budget, BRUCK_RECV_TIMEOUT_MS) waiting on "
-        "rank(s)";
-  for (const std::int64_t s : waiting_srcs_) os << ' ' << s;
+     << " ms (one whole-drain budget, BRUCK_RECV_TIMEOUT_MS) waiting on";
+  const char* sep = " ";
+  for (const RecvOp& op : ops_) {
+    if (op.handle == 0 || op.complete) continue;
+    os << sep << "(src " << op.src << ", tag " << op.tag << ", round "
+       << op.round << ")";
+    sep = ", ";
+  }
   if (!stash_.empty()) {
     os << "; " << stash_.size()
        << " message(s) stashed for other tag namespaces";

@@ -10,9 +10,10 @@
 #include <cerrno>
 #include <cstring>
 #include <new>
-#include <thread>
+#include <sstream>
 #include <utility>
 
+#include "mps/backoff.hpp"
 #include "util/assert.hpp"
 
 namespace bruck::mps {
@@ -22,33 +23,6 @@ namespace {
 constexpr std::uint64_t kShmMagic = 0x6272'7563'6b73'686dULL;  // "bruckshm"
 
 constexpr std::size_t align64(std::size_t v) { return (v + 63) & ~std::size_t{63}; }
-
-/// Spin → yield → sleep escalation for the fabric's wait loops: the common
-/// case (peer mid-push) resolves in nanoseconds, but a rank genuinely ahead
-/// of its peers must not burn a core for the whole drain deadline.
-class Backoff {
- public:
-  void pause() {
-    ++waits_;
-    if (waits_ < 64) {
-#if defined(__x86_64__)
-      __builtin_ia32_pause();
-#elif defined(__aarch64__)
-      asm volatile("yield");
-#else
-      std::this_thread::yield();
-#endif
-    } else if (waits_ < 256) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-  void reset() { waits_ = 0; }
-
- private:
-  int waits_ = 0;
-};
 
 }  // namespace
 
@@ -254,9 +228,15 @@ void ShmComm::wire_push(const WireHeader& h,
       drained = true;
     }
     if (ring.try_push(frame, payload)) return;
-    BRUCK_REQUIRE_MSG(!deadline.expired(),
-                      "shm fabric send timed out: destination ring stayed "
-                      "full past the receive deadline (peer stuck?)");
+    if (deadline.expired()) {
+      std::ostringstream os;
+      os << "rank " << rank_ << ": shm fabric send to rank " << h.dst
+         << " (tag " << h.tag << ", round " << h.round
+         << ") timed out after " << deadline.budget().count()
+         << " ms: destination ring stayed full past the receive deadline "
+            "(peer stuck?)";
+      throw ContractViolation(os.str());
+    }
     if (drained) {
       backoff.reset();
     } else {

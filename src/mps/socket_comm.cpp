@@ -297,6 +297,9 @@ void SocketComm::read_from_peer(std::int64_t peer) {
     const ssize_t r = ::recv(p.fd, chunk, sizeof(chunk), 0);
     if (r > 0) {
       p.inbuf.insert(p.inbuf.end(), chunk, chunk + r);
+      // A short read drained the socket: stop without paying a trailing
+      // EAGAIN recv.  Level-triggered epoll reports any later bytes.
+      if (static_cast<std::size_t>(r) < sizeof(chunk)) break;
       continue;
     }
     if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;

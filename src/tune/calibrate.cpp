@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -19,7 +20,11 @@ double elapsed_us(Clock::time_point start) {
       .count();
 }
 
-/// Per-message wall time of `reps` ring-neighbor rounds at `bytes`.
+/// Per-message wall time of a ring-neighbor round at `bytes`: the fastest
+/// of `reps` rounds, each timed on its own.  A scheduler hiccup (a
+/// preempted rank, an oversubscribed host) inflates the rounds it hits, and
+/// a mean would carry it into the fit; the minimum keeps the fabric's own
+/// cost.
 double time_ring_us(mps::Communicator& comm, int tag, int& round,
                     std::int64_t bytes, int reps) {
   const std::int64_t n = comm.size();
@@ -33,13 +38,15 @@ double time_ring_us(mps::Communicator& comm, int tag, int& round,
   comm.post_send(round, next, out, 1, tag);
   comm.wait_recv(comm.post_recv(round, prev, in, 1, tag));
   ++round;
-  const Clock::time_point start = Clock::now();
+  double best = std::numeric_limits<double>::infinity();
   for (int i = 0; i < reps; ++i) {
+    const Clock::time_point start = Clock::now();
     comm.post_send(round, next, out, 1, tag);
     comm.wait_recv(comm.post_recv(round, prev, in, 1, tag));
     ++round;
+    best = std::min(best, elapsed_us(start));
   }
-  return elapsed_us(start) / reps;
+  return best;
 }
 
 /// Per-byte wall time of the reduction combine loop (local, no wire).

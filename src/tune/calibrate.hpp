@@ -4,7 +4,8 @@
 // plans with — measured constants instead of the compiled-in machines.
 //
 // The ladder is a neighbor ring exchange (each rank sends to rank+1 and
-// receives from rank-1 per round) over a handful of message sizes: the
+// receives from rank-1 per round) over a handful of message sizes, each
+// size's cost being the fastest of its individually timed rounds: the
 // smallest size is startup-dominated (≈ β), the spread across sizes fits τ
 // as a least-squares slope.  γ comes from a local double-accumulate loop —
 // no wire traffic, same arithmetic the reduction executor performs.
