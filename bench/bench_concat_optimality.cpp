@@ -48,8 +48,8 @@ int main() {
                           "optimal?", "in paper's range?"});
   for (const std::int64_t n : {2, 5, 8, 9, 16, 17, 26, 27, 28, 40, 64}) {
     for (const int k : {1, 2, 3, 4}) {
-      const bruck::model::CostMetrics m = bruck::bench::measure_concat_bruck(
-          n, k, b, bruck::model::ConcatLastRound::kAuto);
+      const bruck::model::CostMetrics m = bruck::bench::measure_concat(
+          n, k, b, bruck::coll::ConcatAlgorithm::kBruck);
       const std::int64_t c1_lb = bruck::model::concat_c1_lower_bound(n, k);
       const std::int64_t c2_lb = bruck::model::concat_c2_lower_bound(n, k, b);
       const bool optimal = m.c1 == c1_lb && m.c2 == c2_lb;
@@ -74,12 +74,14 @@ int main() {
     const bool feasible = bruck::model::concat_byte_split_feasible(15, 3, 3);
     std::cout << "  byte-split feasible here? " << (feasible ? "yes" : "no")
               << "\n\n";
-    const auto cg = bruck::bench::measure_concat_bruck(
-        15, 3, 3, bruck::model::ConcatLastRound::kColumnGranular);
+    const auto cg = bruck::bench::measure_concat(
+        15, 3, 3, bruck::coll::ConcatAlgorithm::kBruck,
+        bruck::model::ConcatLastRound::kColumnGranular);
     remark.add("column-granular", cg.c1, cg.c2,
                "optimal C1, C2 <= bound + b-1");
-    const auto tr = bruck::bench::measure_concat_bruck(
-        15, 3, 3, bruck::model::ConcatLastRound::kTwoRound);
+    const auto tr = bruck::bench::measure_concat(
+        15, 3, 3, bruck::coll::ConcatAlgorithm::kBruck,
+        bruck::model::ConcatLastRound::kTwoRound);
     remark.add("two-round", tr.c1, tr.c2, "optimal C2, C1 = bound + 1");
   }
   remark.print(std::cout);
@@ -88,10 +90,12 @@ int main() {
   bruck::TextTable base({"n", "bruck C1", "bruck C2", "folklore C1",
                          "folklore C2", "ring C1", "ring C2"});
   for (const std::int64_t n : {8, 16, 27, 32, 64}) {
-    const auto bm = bruck::bench::measure_concat_bruck(
-        n, 1, b, bruck::model::ConcatLastRound::kAuto);
-    const auto fm = bruck::bench::measure_concat_folklore(n, b);
-    const auto rm = bruck::bench::measure_concat_ring(n, b);
+    const auto bm = bruck::bench::measure_concat(
+        n, 1, b, bruck::coll::ConcatAlgorithm::kBruck);
+    const auto fm = bruck::bench::measure_concat(
+        n, 1, b, bruck::coll::ConcatAlgorithm::kFolklore);
+    const auto rm = bruck::bench::measure_concat(
+        n, 1, b, bruck::coll::ConcatAlgorithm::kRing);
     base.add(n, bm.c1, bm.c2, fm.c1, fm.c2, rm.c1, rm.c2);
   }
   base.print(std::cout);

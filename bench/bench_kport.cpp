@@ -81,8 +81,8 @@ int main(int argc, char** argv) {
   bruck::TextTable tc({"n", "k", "C1", "C1 bound", "C2", "C2 bound"});
   for (const std::int64_t cn : concat_ns) {
     for (const int k : {1, 2, 3, 4}) {
-      const bruck::model::CostMetrics m = bruck::bench::measure_concat_bruck(
-          cn, k, b, bruck::model::ConcatLastRound::kAuto);
+      const bruck::model::CostMetrics m = bruck::bench::measure_concat(
+          cn, k, b, bruck::coll::ConcatAlgorithm::kBruck);
       tc.add(cn, k, m.c1, bruck::model::concat_c1_lower_bound(cn, k), m.c2,
              bruck::model::concat_c2_lower_bound(cn, k, b));
       if (csv) {

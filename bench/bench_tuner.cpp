@@ -45,9 +45,11 @@ double wall_us(std::int64_t n, int k, std::int64_t b, std::int64_t r) {
           std::vector<std::byte> send(static_cast<std::size_t>(n * b),
                                       std::byte{1});
           std::vector<std::byte> recv(send.size());
+          bruck::coll::AlltoallOptions bruck;
+          bruck.algorithm = bruck::coll::IndexAlgorithm::kBruck;
+          bruck.radix = r;
           comm.barrier();
-          bruck::coll::index_bruck(comm, send, recv, b,
-                                   bruck::coll::IndexBruckOptions{r, 0});
+          bruck::coll::alltoall(comm, send, recv, b, bruck);
         });
     const double us = rr.wall_seconds * 1e6;
     best = rep == 0 ? us : std::min(best, us);

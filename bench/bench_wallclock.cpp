@@ -14,38 +14,33 @@
 
 #include "coll/api.hpp"
 #include "coll/layout.hpp"
-#include "coll/reduction.hpp"
-#include "coll/concat_bruck.hpp"
 #include "coll/progress.hpp"
+#include "coll/reduction.hpp"
 #include "coll/request.hpp"
 #include "coll/verify.hpp"
-#include "coll/concat_folklore.hpp"
-#include "coll/concat_ring.hpp"
-#include "coll/index_bruck.hpp"
 #include "model/tuner.hpp"
 #include "mps/runtime.hpp"
 
 namespace {
 
-void run_index(std::int64_t n, std::int64_t b, std::int64_t radix) {
-  bruck::mps::FabricOptions options;
-  options.n = n;
-  options.k = 1;
-  options.record_trace = false;
-  bruck::mps::run_spmd(options, [&](bruck::mps::Communicator& comm) {
-    std::vector<std::byte> send(static_cast<std::size_t>(n * b), std::byte{1});
-    std::vector<std::byte> recv(send.size());
-    bruck::coll::index_bruck(comm, send, recv, b,
-                             bruck::coll::IndexBruckOptions{radix, 0});
-  });
-}
-
 void BM_IndexBruck(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   const std::int64_t b = state.range(1);
   const std::int64_t radix = state.range(2);
+  bruck::coll::AlltoallOptions options;
+  options.algorithm = bruck::coll::IndexAlgorithm::kBruck;
+  options.radix = radix;
   for (auto _ : state) {
-    run_index(n, b, radix);
+    bruck::mps::FabricOptions fabric;
+    fabric.n = n;
+    fabric.k = 1;
+    fabric.record_trace = false;
+    bruck::mps::run_spmd(fabric, [&](bruck::mps::Communicator& comm) {
+      std::vector<std::byte> send(static_cast<std::size_t>(n * b),
+                                  std::byte{1});
+      std::vector<std::byte> recv(send.size());
+      bruck::coll::alltoall(comm, send, recv, b, options);
+    });
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n *
                           (n - 1) * b);
@@ -76,19 +71,16 @@ void BM_AllgatherAlgorithms(benchmark::State& state) {
                           (n - 1) * b);
 }
 
-// Executor comparison: the same compiled plan walked by the blocking
-// (PR 1) executor vs the pipelined port-engine executor, at large block
-// sizes where pack/wire/unpack overlap and wire segmentation pay off.
-// range = {block bytes, path (ExecutionPath value), segments}.
+// Executor rows: one compiled plan shipped whole or split into wire
+// segments, at large block sizes where pack/wire/unpack overlap and wire
+// segmentation pay off.  range = {block bytes, segments}.
 void BM_AlltoallExecutor(benchmark::State& state) {
   const std::int64_t n = 8;
   const std::int64_t b = state.range(0);
-  const auto path = static_cast<bruck::coll::ExecutionPath>(state.range(1));
-  const int segments = static_cast<int>(state.range(2));
+  const int segments = static_cast<int>(state.range(1));
   bruck::coll::AlltoallOptions options;
   options.algorithm = bruck::coll::IndexAlgorithm::kBruck;
   options.radix = 2;
-  options.path = path;
   options.segments = segments;
   for (auto _ : state) {
     bruck::mps::FabricOptions fabric;
@@ -102,8 +94,7 @@ void BM_AlltoallExecutor(benchmark::State& state) {
       bruck::coll::alltoall(comm, send, recv, b, options);
     });
   }
-  state.SetLabel(bruck::coll::to_string(path) + "/S=" +
-                 std::to_string(segments));
+  state.SetLabel("S=" + std::to_string(segments));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n *
                           (n - 1) * b);
 }
@@ -111,11 +102,9 @@ void BM_AlltoallExecutor(benchmark::State& state) {
 void BM_AllgatherExecutor(benchmark::State& state) {
   const std::int64_t n = 8;
   const std::int64_t b = state.range(0);
-  const auto path = static_cast<bruck::coll::ExecutionPath>(state.range(1));
-  const int segments = static_cast<int>(state.range(2));
+  const int segments = static_cast<int>(state.range(1));
   bruck::coll::AllgatherOptions options;
   options.algorithm = bruck::coll::ConcatAlgorithm::kBruck;
-  options.path = path;
   options.segments = segments;
   for (auto _ : state) {
     bruck::mps::FabricOptions fabric;
@@ -128,27 +117,23 @@ void BM_AllgatherExecutor(benchmark::State& state) {
       bruck::coll::allgather(comm, send, recv, b, options);
     });
   }
-  state.SetLabel(bruck::coll::to_string(path) + "/S=" +
-                 std::to_string(segments));
+  state.SetLabel("S=" + std::to_string(segments));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n *
                           (n - 1) * b);
 }
 
-// Reduction executor comparison: the same reduce-scatter plan walked by
-// the blocking executor vs the pipelined executor whose combine is fused
-// into the out-of-order completion path.
-// range = {block bytes, path (ExecutionPath value), segments}.
+// Reduction executor rows: the reduce-scatter plan, its combine fused into
+// the out-of-order completion path, shipped whole or segmented.
+// range = {block bytes, segments}.
 void BM_ReduceScatterExecutor(benchmark::State& state) {
   const std::int64_t n = 8;
   const std::int64_t b = state.range(0);
-  const auto path = static_cast<bruck::coll::ExecutionPath>(state.range(1));
-  const int segments = static_cast<int>(state.range(2));
+  const int segments = static_cast<int>(state.range(1));
   const bruck::coll::ReduceOp op =
       bruck::coll::ReduceOp::sum(bruck::coll::ReduceElem::kF64);
   bruck::coll::ReduceScatterOptions options;
   options.algorithm = bruck::coll::ReduceAlgorithm::kBruck;
   options.radix = 2;
-  options.path = path;
   options.segments = segments;
   for (auto _ : state) {
     bruck::mps::FabricOptions fabric;
@@ -162,8 +147,7 @@ void BM_ReduceScatterExecutor(benchmark::State& state) {
       bruck::coll::reduce_scatter(comm, send, recv, b, op, options);
     });
   }
-  state.SetLabel(bruck::coll::to_string(path) + "/S=" +
-                 std::to_string(segments));
+  state.SetLabel("S=" + std::to_string(segments));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * n *
                           (n - 1) * b);
 }
@@ -383,7 +367,6 @@ void BM_HierAlltoall(benchmark::State& state) {
   const std::int64_t b = state.range(0);
   const std::int64_t group = state.range(1);
   bruck::coll::AlltoallOptions options;
-  options.path = bruck::coll::ExecutionPath::kCompiled;
   options.hier =
       group > 0 ? bruck::coll::HierMode::kOn : bruck::coll::HierMode::kOff;
   options.hier_group = group;
@@ -434,13 +417,6 @@ void BM_CombineKernels(benchmark::State& state) {
                           bytes);
 }
 
-}  // namespace
-
-namespace {
-constexpr std::int64_t kCompiledPath =
-    static_cast<std::int64_t>(bruck::coll::ExecutionPath::kCompiled);
-constexpr std::int64_t kPipelinedPath =
-    static_cast<std::int64_t>(bruck::coll::ExecutionPath::kPipelined);
 }  // namespace
 
 // Multi-tenancy (the CI multi-tenant CSV artifact): batched vs serial
@@ -497,12 +473,10 @@ BENCHMARK(BM_HierAlltoall)
 
 // Reduction family (the CI reduction CSV artifact).
 BENCHMARK(BM_ReduceScatterExecutor)
-    ->Args({1 << 16, kCompiledPath, 1})
-    ->Args({1 << 16, kPipelinedPath, 1})
-    ->Args({1 << 16, kPipelinedPath, 8})
-    ->Args({1 << 18, kCompiledPath, 1})
-    ->Args({1 << 18, kPipelinedPath, 1})
-    ->Args({1 << 18, kPipelinedPath, 8})
+    ->Args({1 << 16, 1})
+    ->Args({1 << 16, 8})
+    ->Args({1 << 18, 1})
+    ->Args({1 << 18, 8})
     ->Unit(benchmark::kMicrosecond)
     ->MinWarmUpTime(0.05)
     ->MinTime(0.25);
@@ -516,23 +490,20 @@ BENCHMARK(BM_AllreduceFusedVsGatherReduce)
     ->MinWarmUpTime(0.05)
     ->MinTime(0.25);
 
-// Executor comparison, segmented large blocks (the CI CSV artifact's
-// pipelined-vs-PR1 perf trajectory).
+// Executor rows, whole vs segmented large blocks (the CI executor CSV
+// artifact).
 BENCHMARK(BM_AlltoallExecutor)
-    ->Args({1 << 16, kCompiledPath, 1})
-    ->Args({1 << 16, kPipelinedPath, 1})
-    ->Args({1 << 16, kPipelinedPath, 8})
-    ->Args({1 << 18, kCompiledPath, 1})
-    ->Args({1 << 18, kPipelinedPath, 1})
-    ->Args({1 << 18, kPipelinedPath, 8})
+    ->Args({1 << 16, 1})
+    ->Args({1 << 16, 8})
+    ->Args({1 << 18, 1})
+    ->Args({1 << 18, 8})
     ->Unit(benchmark::kMicrosecond)
     ->MinWarmUpTime(0.05)
     ->MinTime(0.25);
 
 BENCHMARK(BM_AllgatherExecutor)
-    ->Args({1 << 16, kCompiledPath, 1})
-    ->Args({1 << 16, kPipelinedPath, 1})
-    ->Args({1 << 16, kPipelinedPath, 8})
+    ->Args({1 << 16, 1})
+    ->Args({1 << 16, 8})
     ->Unit(benchmark::kMicrosecond)
     ->MinWarmUpTime(0.05)
     ->MinTime(0.25);

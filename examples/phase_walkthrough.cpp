@@ -15,8 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "coll/concat_bruck.hpp"
-#include "coll/index_bruck.hpp"
+#include "coll/api.hpp"
 #include "mps/runtime.hpp"
 #include "util/assert.hpp"
 
@@ -89,10 +88,12 @@ int main() {
   // the final transposed configuration (right side of Fig. 1).
   std::vector<std::vector<std::byte>> recv(
       kN, std::vector<std::byte>(static_cast<std::size_t>(kN * kB)));
+  bruck::coll::AlltoallOptions radix2;
+  radix2.algorithm = bruck::coll::IndexAlgorithm::kBruck;
+  radix2.radix = 2;
   bruck::mps::run_spmd(kN, 1, [&](bruck::mps::Communicator& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
-    bruck::coll::index_bruck(comm, send[rank], recv[rank], kB,
-                             bruck::coll::IndexBruckOptions{2, 0});
+    bruck::coll::alltoall(comm, send[rank], recv[rank], kB, radix2);
   });
   print_grid("Fig. 1 (after): processor i holds B[0,i] .. B[4,i]",
              snapshot(recv));
@@ -133,8 +134,11 @@ int main() {
   bruck::mps::run_spmd(kN, 1, [&](bruck::mps::Communicator& comm) {
     const std::int64_t rank = comm.rank();
     const std::vector<std::byte> mine{static_cast<std::byte>('A' + rank)};
-    bruck::coll::concat_bruck(comm, mine,
-                              cat_recv[static_cast<std::size_t>(rank)], 1, {});
+    bruck::coll::AllgatherOptions circulant;
+    circulant.algorithm = bruck::coll::ConcatAlgorithm::kBruck;
+    bruck::coll::allgather(comm, mine,
+                           cat_recv[static_cast<std::size_t>(rank)], 1,
+                           circulant);
   });
   std::cout << "round 0: each node sends its window of 1 block to rank-1\n";
   std::cout << "round 1: windows of 2 blocks to rank-2\n";

@@ -12,16 +12,10 @@
 
 #include "coll/bcast.hpp"
 #include "coll/composite.hpp"
-#include "coll/concat_bruck.hpp"
-#include "coll/concat_folklore.hpp"
-#include "coll/concat_ring.hpp"
 #include "coll/gather_scatter.hpp"
-#include "coll/index_bruck.hpp"
-#include "coll/index_direct.hpp"
-#include "coll/index_pairwise.hpp"
 #include "coll/plan_cache.hpp"
 #include "coll/progress.hpp"
-#include "coll/vector_reference.hpp"
+#include "coll/reference.hpp"
 #include "coll/workspace.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
@@ -51,7 +45,6 @@ std::string to_string(ConcatAlgorithm a) {
 
 std::string to_string(ExecutionPath p) {
   switch (p) {
-    case ExecutionPath::kCompiled: return "compiled";
     case ExecutionPath::kReference: return "reference";
     case ExecutionPath::kPipelined: return "pipelined";
   }
@@ -148,23 +141,18 @@ bool hier_eligible(HierMode resolved, std::int64_t n, std::int64_t block_bytes,
 }
 
 /// The shared compiled tail of both collectives: fetch (or lower once) the
-/// plan for `key`, execute it through the requested executor, and report
-/// the cache/round/byte statistics.  `wall_out`, when given, receives the
-/// measured execution wall time in microseconds (also carried on the
-/// PlanEvent).
+/// plan for `key`, execute it, and report the cache/round/byte statistics.
+/// `wall_out`, when given, receives the measured execution wall time in
+/// microseconds (also carried on the PlanEvent).
 int run_compiled(mps::Communicator& comm, const PlanKey& key,
                  std::span<const std::byte> send, std::span<std::byte> recv,
-                 std::int64_t block_bytes, int start_round, bool pipelined,
+                 std::int64_t block_bytes, int start_round,
                  const LayoutPair& layouts = {},
                  double* wall_out = nullptr) {
   const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(key);
   const auto start = std::chrono::steady_clock::now();
   const PlanExecution ex =
-      pipelined
-          ? lookup.plan->run_pipelined(comm, send, recv, block_bytes,
-                                       start_round, layouts)
-          : lookup.plan->run(comm, send, recv, block_bytes, start_round,
-                             layouts);
+      lookup.plan->run(comm, send, recv, block_bytes, start_round, layouts);
   const double wall_us = us_since(start);
   mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
                        ex.bytes_sent};
@@ -178,15 +166,12 @@ int run_compiled(mps::Communicator& comm, const PlanKey& key,
 /// it against the VectorView.
 int run_compiled_v(mps::Communicator& comm, const PlanKey& key,
                    std::span<const std::byte> send, std::span<std::byte> recv,
-                   const VectorView& view, int start_round, bool pipelined,
+                   const VectorView& view, int start_round,
                    const LayoutPair& layouts = {}) {
   const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(key);
   const auto start = std::chrono::steady_clock::now();
   const PlanExecution ex =
-      pipelined
-          ? lookup.plan->run_pipelined(comm, send, recv, view, start_round,
-                                       layouts)
-          : lookup.plan->run(comm, send, recv, view, start_round, layouts);
+      lookup.plan->run(comm, send, recv, view, start_round, layouts);
   mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
                        ex.bytes_sent};
   event.wall_us = us_since(start);
@@ -226,15 +211,14 @@ struct ConcatRecipe {
   ConcatAlgorithm algorithm = ConcatAlgorithm::kBruck;
   model::ConcatLastRound strategy = model::ConcatLastRound::kAuto;
   int segments = 1;
-  /// Modeled measures behind the choice (zero unless pipelined — only the
-  /// segment tuner and the progress engine read them).
+  /// Modeled measures behind the choice (the segment tuner and the
+  /// progress engine read them).
   model::CostMetrics predicted;
 };
 
 ConcatRecipe resolve_concat_recipe(std::int64_t n, int k,
                                    std::int64_t block_bytes,
-                                   const AllgatherOptions& options,
-                                   bool pipelined) {
+                                   const AllgatherOptions& options) {
   ConcatRecipe recipe;
   recipe.algorithm = options.algorithm == ConcatAlgorithm::kAuto
                          ? ConcatAlgorithm::kBruck
@@ -244,26 +228,24 @@ ConcatRecipe resolve_concat_recipe(std::int64_t n, int k,
           ? model::resolve_concat_last_round(n, k, block_bytes,
                                              options.last_round)
           : options.last_round;
-  if (pipelined) {
-    // Needed for forced counts too: resolve_segment_knob clamps them against
-    // the per-message floor derived from these metrics.
-    switch (recipe.algorithm) {
-      case ConcatAlgorithm::kBruck:
-      case ConcatAlgorithm::kAuto:
-        recipe.predicted =
-            model::concat_bruck_cost(n, k, block_bytes, recipe.strategy);
-        break;
-      case ConcatAlgorithm::kFolklore:
-        recipe.predicted = model::concat_folklore_cost(n, block_bytes);
-        break;
-      case ConcatAlgorithm::kRing:
-        recipe.predicted = model::concat_ring_cost(n, block_bytes);
-        break;
-    }
+  // Needed for forced counts too: resolve_segment_knob clamps them against
+  // the per-message floor derived from these metrics.
+  switch (recipe.algorithm) {
+    case ConcatAlgorithm::kBruck:
+    case ConcatAlgorithm::kAuto:
+      recipe.predicted =
+          model::concat_bruck_cost(n, k, block_bytes, recipe.strategy);
+      break;
+    case ConcatAlgorithm::kFolklore:
+      recipe.predicted = model::concat_folklore_cost(n, block_bytes);
+      break;
+    case ConcatAlgorithm::kRing:
+      recipe.predicted = model::concat_ring_cost(n, block_bytes);
+      break;
   }
   recipe.segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      recipe.predicted);
+      options.segments, /*pipelined=*/true,
+      model::effective_machine(options.machine), recipe.predicted);
   return recipe;
 }
 
@@ -358,27 +340,12 @@ AlltoallPlan plan_alltoall(std::int64_t n, int k, std::int64_t block_bytes,
 int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
              std::span<std::byte> recv, std::int64_t block_bytes,
              const AlltoallOptions& options) {
+  if (options.path == ExecutionPath::kReference) {
+    return alltoall_reference(comm, send, recv, block_bytes,
+                              options.start_round);
+  }
   const AlltoallPlan plan =
       plan_alltoall(comm.size(), comm.ports(), block_bytes, options);
-
-  if (options.path == ExecutionPath::kReference) {
-    switch (plan.algorithm) {
-      case IndexAlgorithm::kDirect:
-        return index_direct(comm, send, recv, block_bytes,
-                            IndexDirectOptions{options.start_round});
-      case IndexAlgorithm::kPairwise:
-        return index_pairwise(comm, send, recv, block_bytes,
-                              IndexPairwiseOptions{options.start_round});
-      case IndexAlgorithm::kBruck:
-      case IndexAlgorithm::kAuto:
-        return index_bruck(comm, send, recv, block_bytes,
-                           IndexBruckOptions{plan.radix, options.start_round});
-    }
-    BRUCK_ENSURE_MSG(false, "unreachable");
-    return options.start_round;
-  }
-
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
 
   // Hierarchical dispatch: when the knob engages, lower this rank's
   // leader-model composite and run it stage by stage (the composite records
@@ -397,9 +364,7 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
       shape.inter_radix = choice.inter_radix;
       const CompositePlan cp = CompositePlan::lower_index_hier(
           comm.size(), comm.ports(), comm.rank(), block_bytes, shape);
-      return cp
-          .run(comm, send, recv, /*op=*/nullptr, options.start_round,
-               pipelined)
+      return cp.run(comm, send, recv, /*op=*/nullptr, options.start_round)
           .next_round;
     }
   }
@@ -412,7 +377,7 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
   int segments = model::resolve_segment_knob(
       options.segments == 0 && plan.segments_hint > 0 ? plan.segments_hint
                                                       : options.segments,
-      pipelined, machine, plan.predicted);
+      /*pipelined=*/true, machine, plan.predicted);
 
   // Live adaptive exploration: only for fully tuner-driven calls (no forced
   // radix or segment count), and only when a tuner installed the hook.  The
@@ -441,7 +406,7 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
       comm,
       index_plan_key(plan.algorithm, comm.size(), comm.ports(), radix,
                      segments),
-      send, recv, block_bytes, options.start_round, pipelined, {},
+      send, recv, block_bytes, options.start_round, {},
       adaptive ? &wall_us : nullptr);
   if (adaptive) {
     model::ExecutionSample sample;
@@ -490,51 +455,32 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
                     recv.first(static_cast<std::size_t>(n * b)), b, options);
   }
   if (options.path == ExecutionPath::kReference) {
-    // The inline oracles predate layouts: stage through packed copies so
-    // kReference stays the bitwise cross-check of the zero-copy paths.
+    // The oracle has no layouts: stage through packed copies so kReference
+    // stays the bitwise cross-check of the zero-copy paths.
     return alltoall_staged(comm, send, recv, send_layout, recv_layout,
                            options);
   }
   const AlltoallPlan plan = plan_alltoall(n, comm.ports(), b, options);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
   const int segments = model::resolve_segment_knob(
       options.segments == 0 && plan.segments_hint > 0 ? plan.segments_hint
                                                       : options.segments,
-      pipelined, model::effective_machine(options.machine), plan.predicted);
+      /*pipelined=*/true, model::effective_machine(options.machine),
+      plan.predicted);
   return run_compiled(
       comm,
       index_plan_key(plan.algorithm, n, comm.ports(), plan.radix, segments,
                      layout_digest(&send_layout, &recv_layout)),
-      send, recv, b, options.start_round, pipelined,
+      send, recv, b, options.start_round,
       LayoutPair{&send_layout, &recv_layout});
 }
 
 int allgather(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv, std::int64_t block_bytes,
               const AllgatherOptions& options) {
-  const ConcatAlgorithm algorithm =
-      options.algorithm == ConcatAlgorithm::kAuto ? ConcatAlgorithm::kBruck
-                                                  : options.algorithm;
-
   if (options.path == ExecutionPath::kReference) {
-    switch (algorithm) {
-      case ConcatAlgorithm::kFolklore:
-        return concat_folklore(comm, send, recv, block_bytes,
-                               ConcatFolkloreOptions{options.start_round});
-      case ConcatAlgorithm::kRing:
-        return concat_ring(comm, send, recv, block_bytes,
-                           ConcatRingOptions{options.start_round});
-      case ConcatAlgorithm::kBruck:
-      case ConcatAlgorithm::kAuto:
-        return concat_bruck(
-            comm, send, recv, block_bytes,
-            ConcatBruckOptions{options.last_round, options.start_round});
-    }
-    BRUCK_ENSURE_MSG(false, "unreachable");
-    return options.start_round;
+    return allgather_reference(comm, send, recv, block_bytes,
+                               options.start_round);
   }
-
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
 
   // Hierarchical dispatch (see alltoall).
   const HierMode hmode = resolve_hier_mode(options.hier);
@@ -551,22 +497,20 @@ int allgather(mps::Communicator& comm, std::span<const std::byte> send,
       shape.strategy = options.last_round;
       const CompositePlan cp = CompositePlan::lower_concat_hier(
           comm.size(), comm.ports(), comm.rank(), block_bytes, shape);
-      return cp
-          .run(comm, send, recv, /*op=*/nullptr, options.start_round,
-               pipelined)
+      return cp.run(comm, send, recv, /*op=*/nullptr, options.start_round)
           .next_round;
     }
   }
 
   // Canonicalize the last-round strategy so equal geometries share a key
-  // (the same resolution concat_bruck performs internally).
+  // (the same resolution sched::build_concat_bruck performs).
   const ConcatRecipe recipe = resolve_concat_recipe(
-      comm.size(), comm.ports(), block_bytes, options, pipelined);
+      comm.size(), comm.ports(), block_bytes, options);
   return run_compiled(comm,
                       concat_plan_key(recipe.algorithm, comm.size(),
                                       comm.ports(), recipe.strategy,
                                       block_bytes, recipe.segments),
-                      send, recv, block_bytes, options.start_round, pipelined);
+                      send, recv, block_bytes, options.start_round);
 }
 
 int allgather(mps::Communicator& comm, std::span<const std::byte> send,
@@ -593,15 +537,14 @@ int allgather(mps::Communicator& comm, std::span<const std::byte> send,
     layout_scatter_all(recv, recv_layout, n, r);
     return next;
   }
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
   const ConcatRecipe recipe =
-      resolve_concat_recipe(n, comm.ports(), b, options, pipelined);
+      resolve_concat_recipe(n, comm.ports(), b, options);
   return run_compiled(
       comm,
       concat_plan_key(recipe.algorithm, n, comm.ports(), recipe.strategy, b,
                       recipe.segments,
                       layout_digest(&send_layout, &recv_layout)),
-      send, recv, b, options.start_round, pipelined,
+      send, recv, b, options.start_round,
       LayoutPair{&send_layout, &recv_layout});
 }
 
@@ -648,23 +591,21 @@ int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
 
   if (options.path == ExecutionPath::kReference) {
     return alltoallv_reference(comm, send, recv, counts, send_displs,
-                               recv_displs,
-                               VectorReferenceOptions{options.start_round});
+                               recv_displs, options.start_round);
   }
 
   // Resolve the algorithm, radix, and predicted measures (the segment
   // tuner's input) from the shape statistics.
   const IndexvRecipe recipe =
       resolve_indexv_recipe(n, k, total, max_pair, options);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
   const int segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      recipe.predicted);
+      options.segments, /*pipelined=*/true,
+      model::effective_machine(options.machine), recipe.predicted);
   const VectorView view{counts, send_displs, recv_displs, max_pair};
   return run_compiled_v(comm,
                         indexv_plan_key(recipe.algorithm, n, k, recipe.radix,
                                         shape_digest(counts), segments),
-                        send, recv, view, options.start_round, pipelined);
+                        send, recv, view, options.start_round);
 }
 
 int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -739,9 +680,8 @@ int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
                         static_cast<std::size_t>(
                             row[static_cast<std::size_t>(j)])));
     }
-    const int next =
-        alltoallv_reference(comm, s, r, counts, packed_sd, packed_rd,
-                            VectorReferenceOptions{options.start_round});
+    const int next = alltoallv_reference(comm, s, r, counts, packed_sd,
+                                         packed_rd, options.start_round);
     for (std::int64_t i = 0; i < n; ++i) {
       layout_scatter(recv, recv_layout,
                      recv_displs[static_cast<std::size_t>(i)], 0,
@@ -757,17 +697,16 @@ int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
 
   const IndexvRecipe recipe =
       resolve_indexv_recipe(n, k, total, max_pair, options);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
   const int segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      recipe.predicted);
+      options.segments, /*pipelined=*/true,
+      model::effective_machine(options.machine), recipe.predicted);
   const VectorView view{counts, send_displs, recv_displs, max_pair};
   return run_compiled_v(comm,
                         indexv_plan_key(recipe.algorithm, n, k, recipe.radix,
                                         shape_digest(counts), segments,
                                         layout_digest(&send_layout,
                                                       &recv_layout)),
-                        send, recv, view, options.start_round, pipelined,
+                        send, recv, view, options.start_round,
                         LayoutPair{&send_layout, &recv_layout});
 }
 
@@ -798,42 +737,38 @@ int allgatherv(mps::Communicator& comm, std::span<const std::byte> send,
 
   if (options.path == ExecutionPath::kReference) {
     return allgatherv_reference(comm, send, recv, counts, recv_displs,
-                                VectorReferenceOptions{options.start_round});
+                                options.start_round);
   }
 
   const ConcatAlgorithm algorithm =
       options.algorithm == ConcatAlgorithm::kAuto ? ConcatAlgorithm::kBruck
                                                   : options.algorithm;
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
+  // Segment tuning sees the mean block (wire messages carry trimmed true
+  // sizes, so the mean is the honest per-message estimate).  Computed for
+  // forced counts too (resolve_segment_knob clamps them against the floor).
+  const std::int64_t b_eff =
+      n > 0 ? (total + n - 1) / std::max<std::int64_t>(1, n) : 0;
   model::CostMetrics predicted;
-  if (pipelined) {
-    // Segment tuning sees the mean block (wire messages carry trimmed true
-    // sizes, so the mean is the honest per-message estimate).  Computed for
-    // forced counts too (resolve_segment_knob clamps them against the floor).
-    const std::int64_t b_eff = n > 0 ? (total + n - 1) / std::max<std::int64_t>(
-                                           1, n)
-                                     : 0;
-    switch (algorithm) {
-      case ConcatAlgorithm::kBruck:
-      case ConcatAlgorithm::kAuto:
-        predicted = model::concat_bruck_cost(
-            n, k, b_eff, model::ConcatLastRound::kColumnGranular);
-        break;
-      case ConcatAlgorithm::kFolklore:
-        predicted = model::concat_folklore_cost(n, b_eff);
-        break;
-      case ConcatAlgorithm::kRing:
-        predicted = model::concat_ring_cost(n, b_eff);
-        break;
-    }
+  switch (algorithm) {
+    case ConcatAlgorithm::kBruck:
+    case ConcatAlgorithm::kAuto:
+      predicted = model::concat_bruck_cost(
+          n, k, b_eff, model::ConcatLastRound::kColumnGranular);
+      break;
+    case ConcatAlgorithm::kFolklore:
+      predicted = model::concat_folklore_cost(n, b_eff);
+      break;
+    case ConcatAlgorithm::kRing:
+      predicted = model::concat_ring_cost(n, b_eff);
+      break;
   }
   const int segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      predicted);
+      options.segments, /*pipelined=*/true,
+      model::effective_machine(options.machine), predicted);
   const VectorView view{counts, {}, recv_displs, max_block};
   return run_compiled_v(
       comm, concatv_plan_key(algorithm, n, k, shape_digest(counts), segments),
-      send, recv, view, options.start_round, pipelined);
+      send, recv, view, options.start_round);
 }
 
 namespace detail {
@@ -889,17 +824,13 @@ namespace {
 int run_compiled_reduce(mps::Communicator& comm, const PlanKey& key,
                         std::span<const std::byte> send,
                         std::span<std::byte> recv, std::int64_t block_bytes,
-                        const ReduceOp& op, int start_round, bool pipelined,
+                        const ReduceOp& op, int start_round,
                         const LayoutPair& layouts = {},
                         double* wall_out = nullptr) {
   const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(key);
   const auto start = std::chrono::steady_clock::now();
-  const PlanExecution ex =
-      pipelined
-          ? lookup.plan->run_pipelined(comm, send, recv, block_bytes, op,
-                                       start_round, layouts)
-          : lookup.plan->run(comm, send, recv, block_bytes, op, start_round,
-                             layouts);
+  const PlanExecution ex = lookup.plan->run(comm, send, recv, block_bytes, op,
+                                            start_round, layouts);
   const double wall_us = us_since(start);
   mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
                        ex.bytes_sent, ex.bytes_reduced};
@@ -922,12 +853,9 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
                     "block size must be a whole number of op elements");
 
   if (options.path == ExecutionPath::kReference) {
-    return reduce_scatter_reference(
-        comm, send, recv, block_bytes, op,
-        ReduceReferenceOptions{options.start_round});
+    return reduce_scatter_reference(comm, send, recv, block_bytes, op,
+                                    options.start_round);
   }
-
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
 
   // Hierarchical dispatch (see alltoall).
   const HierMode hmode = resolve_hier_mode(options.hier);
@@ -943,8 +871,7 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
       shape.inter_radix = hier_choice.inter_radix;
       const CompositePlan cp = CompositePlan::lower_reduce_hier(
           n, k, comm.rank(), block_bytes, op, shape);
-      return cp.run(comm, send, recv, &op, options.start_round, pipelined)
-          .next_round;
+      return cp.run(comm, send, recv, &op, options.start_round).next_round;
     }
   }
 
@@ -956,7 +883,7 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
   int segments = model::resolve_segment_knob(
       options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
                                                         : options.segments,
-      pipelined, machine, choice.predicted);
+      /*pipelined=*/true, machine, choice.predicted);
 
   // Live adaptive exploration (see alltoall): tuner-driven Bruck calls only.
   const bool tuner_driven = choice.algorithm == ReduceAlgorithm::kBruck &&
@@ -981,7 +908,7 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
   double wall_us = 0.0;
   const int next = run_compiled_reduce(
       comm, reduce_plan_key(choice.algorithm, n, k, radix, op, segments),
-      send, recv, block_bytes, op, options.start_round, pipelined, {},
+      send, recv, block_bytes, op, options.start_round, {},
       adaptive ? &wall_us : nullptr);
   if (adaptive) {
     model::ExecutionSample sample;
@@ -1026,16 +953,16 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
   const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
       n, k, b, options.algorithm, options.radix, options.machine,
       options.radix_set);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
   const int segments = model::resolve_segment_knob(
       options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
                                                         : options.segments,
-      pipelined, model::effective_machine(options.machine), choice.predicted);
+      /*pipelined=*/true, model::effective_machine(options.machine),
+      choice.predicted);
   return run_compiled_reduce(
       comm,
       reduce_plan_key(choice.algorithm, n, k, choice.radix, op, segments,
                       layout_digest(&send_layout, &recv_layout)),
-      send, recv, b, op, options.start_round, pipelined,
+      send, recv, b, op, options.start_round,
       LayoutPair{&send_layout, &recv_layout});
 }
 
@@ -1080,8 +1007,7 @@ int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
                     "payload must be a whole number of op elements");
 
   if (options.path == ExecutionPath::kReference) {
-    return allreduce_reference(comm, send, recv, op,
-                               ReduceReferenceOptions{options.start_round});
+    return allreduce_reference(comm, send, recv, op, options.start_round);
   }
 
   // Reduce-scatter over ⌈elems/n⌉-element blocks, then allgather the
@@ -1143,8 +1069,8 @@ int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
     std::vector<std::byte> s(static_cast<std::size_t>(bytes));
     std::vector<std::byte> r(static_cast<std::size_t>(bytes));
     layout_gather(send, send_layout, 0, 0, bytes, s);
-    const int next = allreduce_reference(
-        comm, s, r, op, ReduceReferenceOptions{options.start_round});
+    const int next =
+        allreduce_reference(comm, s, r, op, options.start_round);
     layout_scatter(recv, recv_layout, 0, 0, bytes, r);
     return next;
   }
@@ -1251,8 +1177,7 @@ Request iallgather(mps::Communicator& comm, std::span<const std::byte> send,
                    const AllgatherOptions& options) {
   const std::int64_t n = comm.size();
   const int k = comm.ports();
-  const ConcatRecipe recipe =
-      resolve_concat_recipe(n, k, block_bytes, options, /*pipelined=*/true);
+  const ConcatRecipe recipe = resolve_concat_recipe(n, k, block_bytes, options);
   OpSpec spec;
   spec.family = OpSpec::Family::kAllgather;
   spec.send = send;
@@ -1286,7 +1211,7 @@ Request iallgather(mps::Communicator& comm, std::span<const std::byte> send,
                       options);
   }
   const ConcatRecipe recipe =
-      resolve_concat_recipe(n, comm.ports(), b, options, /*pipelined=*/true);
+      resolve_concat_recipe(n, comm.ports(), b, options);
   OpSpec spec;
   spec.family = OpSpec::Family::kAllgather;
   spec.send = send;

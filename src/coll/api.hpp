@@ -34,17 +34,16 @@ enum class ConcatAlgorithm {
 
 /// How the facade executes a collective.
 enum class ExecutionPath {
-  /// Lower (or fetch from the PlanCache) a compiled plan and run it with
-  /// the blocking round-by-round executor: zero planning work on repeated
-  /// same-geometry calls, zero-copy wire paths where the pattern allows.
-  kCompiled,
-  /// The original inline implementations that re-derive the pattern per
-  /// call.  Kept as the cross-check oracle: tests assert the compiled
-  /// paths and kReference produce identical results and traces.
+  /// The cross-check oracle (reference.hpp): one direct per-pair exchange,
+  /// ⌈(n−1)/k⌉ rounds, for every family.  It ignores `algorithm`, `radix`
+  /// and `last_round` and shares no code with the plan engine, so tests
+  /// check the plan path's payloads against it bitwise.
   kReference,
-  /// Compiled plan + the pipelined executor over the nonblocking port
-  /// engine: round overlap where proven safe, eager out-of-order receive
-  /// completion, optional wire segmentation.  The default hot path.
+  /// Lower (or fetch from the PlanCache) the compiled plan of the chosen
+  /// algorithm and run it on the nonblocking port engine: zero planning
+  /// work on repeated same-geometry calls, round overlap where proven safe,
+  /// eager out-of-order receive completion, zero-copy wire paths where the
+  /// pattern allows, optional wire segmentation.  The default.
   kPipelined,
 };
 
@@ -53,7 +52,7 @@ enum class ExecutionPath {
 /// intra-group scatter/broadcast (coll/composite.hpp).  Honored by the
 /// plain contiguous blocking overloads of alltoall/allgather/reduce_scatter
 /// with n > 1 and block_bytes > 0 when the algorithm resolves to Bruck;
-/// kReference (the flat oracle), strided layouts, and the i* twins always
+/// kReference (the direct oracle), strided layouts, and the i* twins always
 /// run flat.
 enum class HierMode {
   kDefault,  ///< follow the BRUCK_HIER environment knob (unset = kOff)
@@ -93,9 +92,9 @@ struct AlltoallOptions {
   model::RadixSet radix_set = model::RadixSet::kAll;
   int start_round = 0;
   ExecutionPath path = ExecutionPath::kPipelined;
-  /// Wire segments per message under kPipelined: 0 tunes under `machine`
+  /// Wire segments per message: 0 tunes under `machine`
   /// (model::pick_segment_count), 1 disables segmentation, S > 1 forces S.
-  /// Ignored by the other paths.
+  /// Ignored by kReference.
   int segments = 0;
   /// Hierarchical (two-level leader-model) execution; see HierMode.
   HierMode hier = HierMode::kDefault;
@@ -111,7 +110,7 @@ struct AlltoallOptions {
 struct AllgatherOptions {
   ConcatAlgorithm algorithm = ConcatAlgorithm::kAuto;
   model::ConcatLastRound last_round = model::ConcatLastRound::kAuto;
-  /// Machine profile for segment-count tuning under kPipelined.
+  /// Machine profile for segment-count tuning.
   model::LinearModel machine = model::ibm_sp1();
   int start_round = 0;
   ExecutionPath path = ExecutionPath::kPipelined;
@@ -143,9 +142,8 @@ struct AlltoallPlan {
 /// destined for rank j.  `recv`: n blocks, block i from rank i.
 /// Returns the next free round index.
 ///
-/// Blocking: returns once all of this rank's receives have landed (under
-/// kPipelined, posts overlap internally but the call itself is
-/// synchronous).  Thread safety: SPMD — one call per rank thread with
+/// Blocking: returns once all of this rank's receives have landed (posts
+/// overlap internally but the call itself is synchronous).  Thread safety: SPMD — one call per rank thread with
 /// rank-local buffers; the PlanCache and tuner memos behind it are
 /// process-global and thread-safe.  Trace: one send event per nonzero
 /// message at its round, plus one PlanEvent per compiled execution.
@@ -156,14 +154,14 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
 /// Strided-datatype alltoall.  Each logical block (block size =
 /// send_layout.block_bytes(), which must equal recv_layout's) maps onto the
 /// caller buffer through its layout; block j's origin is
-/// j · layout.block_stride().  The compiled executors walk the layout's
+/// j · layout.block_stride().  The plan executor walks the layout's
 /// byte extents directly between the user buffers and the wire — no
 /// staging copy in either direction — and an is_contiguous() layout
 /// behaves (and caches) exactly like the plain overload.  Buffers must
 /// cover layout.span_bytes(n); bytes outside the layout's extents are
 /// never read or written.  The layouts are read during the call only.
-/// Under kReference the facade stages through packed copies (the inline
-/// oracles predate layouts), so it remains the bitwise cross-check.
+/// Under kReference the facade stages through packed copies around the
+/// oracle (which has no layouts), so it remains the bitwise cross-check.
 int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
              std::span<std::byte> recv, const Layout& send_layout,
              const Layout& recv_layout, const AlltoallOptions& options = {});
@@ -208,8 +206,6 @@ struct AlltoallvOptions {
   model::LinearModel machine = model::ibm_sp1();
   model::RadixSet radix_set = model::RadixSet::kAll;
   int start_round = 0;
-  /// kReference runs the direct per-pair oracle (vector_reference.hpp)
-  /// regardless of `algorithm` — there is exactly one irregular oracle.
   ExecutionPath path = ExecutionPath::kPipelined;
   /// Same contract as AlltoallOptions::segments.
   int segments = 0;
@@ -223,7 +219,7 @@ struct AlltoallvOptions {
 /// (prefix sums of this rank's matrix row / column).  Blocks must not
 /// overlap; zero-count pairs never touch the fabric.  Blocks until this
 /// rank's receives have landed; records one trace send event per nonzero
-/// message plus one PlanEvent on the compiled paths.  Returns the next
+/// message plus one PlanEvent on the plan path.  Returns the next
 /// free round index.
 int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv,
@@ -254,7 +250,6 @@ struct AllgathervOptions {
   ConcatAlgorithm algorithm = ConcatAlgorithm::kAuto;
   model::LinearModel machine = model::ibm_sp1();
   int start_round = 0;
-  /// kReference runs the direct per-pair oracle (vector_reference.hpp).
   ExecutionPath path = ExecutionPath::kPipelined;
   int segments = 0;
 };
@@ -294,8 +289,6 @@ struct ReduceScatterOptions {
   model::LinearModel machine = model::ibm_sp1();
   model::RadixSet radix_set = model::RadixSet::kAll;
   int start_round = 0;
-  /// kReference runs the per-pair oracle (reduce_scatter_reference)
-  /// regardless of `algorithm` — there is exactly one reduction oracle.
   ExecutionPath path = ExecutionPath::kPipelined;
   /// Same contract as AlltoallOptions::segments.
   int segments = 0;
@@ -312,8 +305,8 @@ struct ReduceScatterOptions {
 /// block_bytes must be a multiple of op.elem_bytes().  Returns the next
 /// free round index.
 ///
-/// Blocking: returns once this rank's reduction is complete (under
-/// kPipelined the combine is fused into the out-of-order completion path).
+/// Blocking: returns once this rank's reduction is complete (the combine is
+/// fused into the out-of-order completion path).
 /// Thread safety: SPMD as alltoall.  Trace: one send event per nonzero
 /// message at its round, plus one PlanEvent (with bytes_reduced) per
 /// compiled execution.
@@ -342,7 +335,6 @@ struct AllreduceOptions {
   model::LinearModel machine = model::ibm_sp1();
   model::RadixSet radix_set = model::RadixSet::kAll;
   int start_round = 0;
-  /// kReference runs allreduce_reference (ring + canonical local combine).
   ExecutionPath path = ExecutionPath::kPipelined;
   int segments = 0;
 };
@@ -416,8 +408,8 @@ int scatter(mps::Communicator& comm, std::int64_t root,
 // reference):
 //  - Buffers (and, for reductions, nothing else: the ReduceOp is copied)
 //    must stay valid and untouched until the request completes.
-//  - Execution always uses the compiled pipelined path; `options.path` is
-//    ignored (there is no nonblocking reference oracle).
+//  - Execution always uses the compiled plan; `options.path` is ignored
+//    (there is no nonblocking reference oracle).
 //  - Each operation runs in its own port-namespace tag on communicators
 //    with a native port engine, so any number of requests may be in flight
 //    concurrently.  On exchange-backed wrappers the engine degrades to a

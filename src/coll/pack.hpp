@@ -1,8 +1,9 @@
-// Appendix A's pack/unpack routines: gather the blocks whose block-id has
-// radix-r digit x equal to z into a contiguous message, and scatter a
-// received message back into the same slots — plus the variable-extent
-// generalization the irregular (vector) plan executor packs through and
-// the strided `coll::Layout` datatypes resolve their cells into (a
+// Variable-extent pack/unpack: gather byte runs of a buffer into a
+// contiguous message and scatter a received message back into the same
+// runs.  The plan executor packs every non-contiguous message through these
+// (Appendix A's pack/unpack by radix digit is the special case of an index
+// Bruck message whose extents are the digit's member blocks), and the
+// strided `coll::Layout` datatypes resolve their cells into them (a
 // layout-mapped cell is just a ByteExtent walk over user memory).
 //
 // All routines here are pure local memory movement: they never block, never
@@ -35,21 +36,5 @@ std::int64_t gather_extents(std::span<const std::byte> src,
 std::int64_t scatter_extents(std::span<std::byte> dst,
                              std::span<const ByteExtent> extents,
                              std::span<const std::byte> in);
-
-/// Pack the blocks of `buffer` (n blocks of block_bytes) whose slot index
-/// has digit x (radix r) equal to z into `packed`, in ascending slot order.
-/// Returns the number of blocks packed; `packed` must hold at least that
-/// many blocks (use radix_digit_census to size it).
-std::int64_t pack_by_digit(std::span<const std::byte> buffer,
-                           std::span<std::byte> packed, std::int64_t n,
-                           std::int64_t block_bytes, std::int64_t r, int x,
-                           std::int64_t z);
-
-/// Inverse of pack_by_digit: scatter `packed` back into the matching slots
-/// of `buffer`, ascending.  Returns the number of blocks unpacked.
-std::int64_t unpack_by_digit(std::span<std::byte> buffer,
-                             std::span<const std::byte> packed, std::int64_t n,
-                             std::int64_t block_bytes, std::int64_t r, int x,
-                             std::int64_t z);
 
 }  // namespace bruck::coll

@@ -9,16 +9,19 @@
 // over one of three buffers (user send, user recv, scratch) — and then
 // `run()` just walks the program: gather cells into a staging buffer (or
 // point straight into the source buffer when the cells are contiguous —
-// the zero-copy fast path), exchange, scatter.
+// the zero-copy fast path), post, and scatter each receive as it lands.
+// The lowerings are the only executable form of every algorithm; the
+// data-free builders of sched/ are the paper-facing specification their
+// executed traces are tested against.
 //
 // Plans are immutable after lowering and shared by all rank threads of a
 // fabric; `PlanCache` (plan_cache.hpp) memoizes them per geometry so a
 // repeated collective on the same communicator shape does no planning work
 // at all.
 //
-// Two executors walk a plan.  `run()` is the blocking (PR 1) executor:
-// pack, exchange, scatter, strictly round by round.  `run_pipelined()`
-// drives the nonblocking port engine instead: sends are handed to the
+// One executor walks a plan: `PlanCursor`, the resumable state machine
+// over the nonblocking port engine.  `run()` drives one cursor to
+// completion; the progress engine drives many.  Sends are handed to the
 // wire (packed first when non-contiguous) without waiting, receives
 // complete eagerly in *arrival* order (scatter happens per message, not
 // per round), and round r+1 is posted while round r's receives are still
@@ -28,8 +31,8 @@
 // Large payloads can additionally be split into `segments()` wire segments
 // per message — the plan-lowering pipelining knob (tuned through
 // model::pick_segment_count) — so a receiver consumes segment i while
-// segment i+1 is still being produced.  Both executors produce
-// byte-identical results and identical C1/C2 trace accounting.
+// segment i+1 is still being produced.  Segmentation is invisible to the
+// trace: one send event per logical message at its round.
 //
 // Index plans are *block-size independent*: their cells are whole blocks,
 // so one plan serves every block_bytes (sizes are resolved at run time).
@@ -181,19 +184,22 @@ class Plan : public std::enable_shared_from_this<Plan> {
   [[nodiscard]] std::int64_t block_bytes() const { return block_bytes_; }
   [[nodiscard]] int round_count() const { return round_count_; }
   [[nodiscard]] const std::string& algorithm() const { return algorithm_; }
-  /// Wire segments per message under the pipelined executor (1 = off).
+  /// Wire segments per message (1 = off).
   [[nodiscard]] int segments() const { return segments_; }
   /// True for irregular (vector) plans: sizes and buffer layouts resolve at
   /// run time from a VectorView instead of a uniform block size.
   [[nodiscard]] bool irregular() const { return irregular_; }
 
-  /// Execute this rank's program with the blocking round-by-round executor.
-  /// For index plans `send`/`recv` hold n blocks of `block_bytes` each; for
-  /// concat plans `send` is one block and `block_bytes` must equal the
-  /// plan's.  Returns the next free round and the bytes this rank put on
-  /// the wire.
+  /// Execute this rank's program: post every round as soon as it is
+  /// postable, complete receives eagerly in arrival order, and ship
+  /// segments() wire segments per message.  For index plans `send`/`recv`
+  /// hold n blocks of `block_bytes` each; for concat plans `send` is one
+  /// block and `block_bytes` must equal the plan's.  Returns the next free
+  /// round and the bytes this rank put on the wire.
   ///
-  /// Blocking: returns once all of this rank's receives have landed.
+  /// Blocking: returns once all of this rank's receives have landed; the
+  /// whole call waits under ONE communicator receive budget (a
+  /// mps::DrainDeadline), so a trickle of receives cannot stretch it.
   /// Thread safety: Plan is immutable after lowering — any number of rank
   /// threads may execute one shared plan concurrently.  Trace: one send
   /// event per nonzero message at its round (segmentation invisible).
@@ -209,57 +215,30 @@ class Plan : public std::enable_shared_from_this<Plan> {
                     int start_round = 0,
                     const LayoutPair& layouts = {}) const;
 
-  /// Execute this rank's program with the pipelined executor: nonblocking
-  /// posts, eager out-of-order receive completion, cross-round overlap
-  /// where proven safe, and segments() wire segments per message.  Same
-  /// contract, results, and trace accounting as run().
-  PlanExecution run_pipelined(mps::Communicator& comm,
-                              std::span<const std::byte> send,
-                              std::span<std::byte> recv,
-                              std::int64_t block_bytes, int start_round = 0,
-                              const LayoutPair& layouts = {}) const;
-
-  /// Execute a reduction plan with the blocking executor: `send` holds n
-  /// blocks (block j = this rank's contribution to rank j), `recv` one
-  /// block that ends up ⊕-combined over every rank's contribution to this
-  /// rank.  `block_bytes` must be a multiple of op.elem_bytes(); the op
+  /// Execute a reduction plan: `send` holds n blocks (block j = this rank's
+  /// contribution to rank j), `recv` one block that ends up ⊕-combined over
+  /// every rank's contribution to this rank.  The combine is fused into the
+  /// eager out-of-order completion path, so arithmetic overlaps in-flight
+  /// rounds.  `block_bytes` must be a multiple of op.elem_bytes(); the op
   /// must be commutative and associative (reduction.hpp).  Reduction plans
-  /// are block-size independent like index plans.
+  /// are block-size independent like index plans.  A recv layout's
+  /// blocklen must be a multiple of op.elem_bytes() (combines trim at piece
+  /// edges).
   PlanExecution run(mps::Communicator& comm, std::span<const std::byte> send,
                     std::span<std::byte> recv, std::int64_t block_bytes,
                     const ReduceOp& op, int start_round = 0,
                     const LayoutPair& layouts = {}) const;
 
-  /// Execute a reduction plan with the pipelined executor: the combine is
-  /// fused into the eager out-of-order completion path, so arithmetic
-  /// overlaps in-flight rounds.  Same contract and results as the blocking
-  /// overload.  A recv layout's blocklen must be a multiple of
-  /// op.elem_bytes() (combines trim at piece edges).
-  PlanExecution run_pipelined(mps::Communicator& comm,
-                              std::span<const std::byte> send,
-                              std::span<std::byte> recv,
-                              std::int64_t block_bytes, const ReduceOp& op,
-                              int start_round = 0,
-                              const LayoutPair& layouts = {}) const;
-
-  /// Execute an irregular plan with the blocking executor.  For index plans
-  /// `send`/`recv` are laid out by view.send_displs/view.recv_displs; for
-  /// concat plans `send` is this rank's single block (view.counts[rank]
-  /// bytes) and `recv` is laid out by view.recv_displs.  Blocks with a zero
-  /// count never touch the fabric (the round is still counted).
+  /// Execute an irregular plan.  For index plans `send`/`recv` are laid out
+  /// by view.send_displs/view.recv_displs; for concat plans `send` is this
+  /// rank's single block (view.counts[rank] bytes) and `recv` is laid out
+  /// by view.recv_displs.  Blocks with a zero count never touch the fabric
+  /// (the round is still counted).  With layouts, each block's displacement
+  /// is the block *origin* and the layout maps its counts[·] logical bytes
+  /// from there.
   PlanExecution run(mps::Communicator& comm, std::span<const std::byte> send,
                     std::span<std::byte> recv, const VectorView& view,
                     int start_round = 0, const LayoutPair& layouts = {}) const;
-
-  /// Execute an irregular plan with the pipelined executor.  Same contract,
-  /// results, and trace accounting as the blocking overload.  With layouts,
-  /// each block's displacement is the block *origin* and the layout maps
-  /// its counts[·] logical bytes from there.
-  PlanExecution run_pipelined(mps::Communicator& comm,
-                              std::span<const std::byte> send,
-                              std::span<std::byte> recv,
-                              const VectorView& view, int start_round = 0,
-                              const LayoutPair& layouts = {}) const;
 
   /// Data-free view of the whole pattern (all ranks), for cross-checking
   /// against sched/ builders and for cost metrics.  Index plans render with
@@ -276,11 +255,10 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// rounds' completions, and what it posts.
   [[nodiscard]] std::string describe_cursor() const;
 
-  // -- Lowering entry points (the compiled counterparts of coll/) ----------
+  // -- Lowering entry points ------------------------------------------------
   //
-  // `segments` is the pipelined executor's wire-segmentation knob (≥ 1; it
-  // does not change the round/cell structure, only how run_pipelined ships
-  // each message).
+  // `segments` is the wire-segmentation knob (≥ 1; it does not change the
+  // round/cell structure, only how the executor ships each message).
 
   static std::shared_ptr<const Plan> lower_index_bruck(std::int64_t n, int k,
                                                        std::int64_t radix,
@@ -305,7 +283,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
   // The intra-group stages of the hierarchical two-level collectives: a
   // binomial gather to rank 0, a reversed binomial scatter from rank 0, and
   // the paper's circulant (k+1)-ary broadcast tree from rank 0.  All three
-  // are block-size independent and mirror the inline primitives in
+  // are block-size independent and mirror the rooted primitives in
   // gather_scatter.cpp / bcast.cpp round for round, so the existing
   // gather_binomial_cost / scatter_binomial_cost / bcast_circulant_cost
   // formulas price them exactly.
@@ -385,7 +363,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
     std::vector<PlanMessage> recvs;
     std::vector<PlanRound> rounds;
     /// pipeline_safe[i]: round i's send reads and recv writes are disjoint
-    /// from round i−1's recv writes, so the pipelined executor may post
+    /// from round i−1's recv writes, so the executor may post
     /// round i before round i−1's receives complete.  Computed in
     /// finalize(); [0] is always false (nothing precedes round 0).
     std::vector<std::uint8_t> pipeline_safe;
@@ -394,9 +372,8 @@ class Plan : public std::enable_shared_from_this<Plan> {
   Plan(PlanCollective collective, std::string algorithm, std::int64_t n, int k,
        std::int64_t block_bytes);
 
-  /// One execution's resolved size/layout context, shared by both
-  /// executors: uniform runs carry the block size; irregular runs carry the
-  /// VectorView (and use `b` as the padded scratch stride); reduction runs
+  /// One execution's resolved size/layout context: uniform runs carry the
+  /// block size; irregular runs carry the VectorView (and use `b` as the padded scratch stride); reduction runs
   /// carry the combine operator.
   struct Extents {
     std::int64_t b = 0;
@@ -463,7 +440,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// Compute every rank's pipeline_safe vector (part of finalize()).
   void compute_pipeline_safety();
 
-  // Shared pieces of the two executors.
+  // Pieces of the executor.
   void check_run_contract(const mps::Communicator& comm,
                           std::span<const std::byte> send,
                           std::span<std::byte> recv, std::int64_t b,
@@ -501,15 +478,11 @@ class Plan : public std::enable_shared_from_this<Plan> {
   [[nodiscard]] static bool lands_in_place(const PlanMessage& m,
                                            const Extents& ex);
 
-  // The executor bodies both public run flavors funnel into.
-  PlanExecution run_blocking_impl(mps::Communicator& comm,
-                                  std::span<const std::byte> send,
-                                  std::span<std::byte> recv, const Extents& ex,
-                                  int start_round) const;
-  PlanExecution run_pipelined_impl(mps::Communicator& comm,
-                                   std::span<const std::byte> send,
-                                   std::span<std::byte> recv,
-                                   const Extents& ex, int start_round) const;
+  // The body every public run flavor funnels into.
+  PlanExecution run_impl(mps::Communicator& comm,
+                         std::span<const std::byte> send,
+                         std::span<std::byte> recv, const Extents& ex,
+                         int start_round) const;
 
   friend class PlanCursor;
 
@@ -532,16 +505,15 @@ class Plan : public std::enable_shared_from_this<Plan> {
   std::vector<RankProgram> programs_;  // one per rank
 };
 
-/// Resumable pipelined execution of one plan on one rank: the state machine
-/// of run_pipelined(), exposed incrementally so several collectives can
-/// share one communicator's completion stream.
+/// Resumable execution of one plan on one rank: the state machine behind
+/// Plan::run(), exposed incrementally so several collectives can share one
+/// communicator's completion stream.
 ///
 /// The cursor never blocks.  post_ready() posts every round whose
 /// dependence is satisfied — round i is postable once rounds [0, i−1) have
 /// fully drained if the lowering proved it independent of round i−1
-/// (`pipeline_safe`), else once rounds [0, i) have — exactly the
-/// double-buffered posting discipline of the blocking pipelined executor
-/// (at most two rounds in flight).  The owner routes each completed receive
+/// (`pipeline_safe`), else once rounds [0, i) have — a double-buffered
+/// posting discipline (at most two rounds in flight).  The owner routes each completed receive
 /// handle back through on_complete(); when the last round drains, the
 /// cursor applies the plan epilogue and becomes done().
 ///
@@ -549,7 +521,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
 /// on one communicator (the coll:: progress engine) can never alias wire
 /// segments.  The referenced plan, communicator, buffers, ReduceOp, and
 /// VectorView must outlive the cursor; construction runs the same buffer
-/// contract checks as the corresponding run_pipelined overload and applies
+/// contract checks as the corresponding Plan::run overload and applies
 /// the prologue.
 ///
 /// Memory: the scratch, receive staging, and handle bookkeeping come from
@@ -558,7 +530,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
 /// allocation.
 class PlanCursor {
  public:
-  /// Uniform (index/concat) execution; see Plan::run_pipelined.  `layouts`
+  /// Uniform (index/concat) execution; see Plan::run.  `layouts`
   /// (all flavors; optional) are the user-buffer datatype layouts and must
   /// outlive the cursor, like the plan and buffers.
   PlanCursor(std::shared_ptr<const Plan> plan, mps::Communicator& comm,
@@ -605,6 +577,15 @@ class PlanCursor {
   [[nodiscard]] int tag() const { return tag_; }
   /// Execution totals; valid once done().
   [[nodiscard]] const PlanExecution& result() const;
+
+  /// Drive this cursor to completion, blocking: post, wait for any
+  /// completion, deliver it, repeat — the whole drive under ONE receive
+  /// budget of the communicator (mps::DrainDeadline), so receives that each
+  /// arrive in time but together exceed the budget still time out.
+  /// Precondition: this cursor is the only one with receives outstanding
+  /// on the communicator (Plan::run, the progress engine's serial
+  /// fallback).  Returns result().
+  PlanExecution drive();
 
  private:
   friend class Plan;

@@ -46,9 +46,9 @@ struct PlanKey {
   std::uint8_t strategy = 0;
   /// 0 for index plans (block-size independent); exact b for concat plans.
   std::int64_t block_class = 0;
-  /// Wire segments per message under the pipelined executor (resolved — the
-  /// tuner's pick or the caller's explicit count — never 0).  Segmentation
-  /// does not change the lowered round/cell structure, but keying it keeps
+  /// Wire segments per message (resolved — the tuner's pick or the
+  /// caller's explicit count — never 0).  Segmentation does not change
+  /// the lowered round/cell structure, but keying it keeps
   /// "one key = one complete execution recipe"; the cost is one extra
   /// lowering per distinct segment count on a geometry (e.g. an index
   /// workload alternating between a small-b and a large-b auto-tuned call),

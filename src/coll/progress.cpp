@@ -582,7 +582,7 @@ void ProgressEngine::run_serial_op(Op& op) {
       PlanCursor cursor(lookup.plan, *comm_, spec.send, spec.recv,
                         spec.block_bytes, start, /*tag=*/0,
                         spec_layouts(spec));
-      op.result = drive_blocking(cursor);
+      op.result = cursor.drive();
       comm_->record_plan_event(mps::PlanEvent{lookup.cache_hit,
                                               lookup.plan->round_count(),
                                               op.result.bytes_sent});
@@ -591,7 +591,7 @@ void ProgressEngine::run_serial_op(Op& op) {
     case OpSpec::Family::kAlltoallv: {
       PlanCursor cursor(lookup.plan, *comm_, spec.send, spec.recv, op.view,
                         start, /*tag=*/0, spec_layouts(spec));
-      op.result = drive_blocking(cursor);
+      op.result = cursor.drive();
       comm_->record_plan_event(mps::PlanEvent{lookup.cache_hit,
                                               lookup.plan->round_count(),
                                               op.result.bytes_sent});
@@ -601,7 +601,7 @@ void ProgressEngine::run_serial_op(Op& op) {
       PlanCursor cursor(lookup.plan, *comm_, spec.send, spec.recv,
                         spec.block_bytes, spec.op, start, /*tag=*/0,
                         spec_layouts(spec));
-      op.result = drive_blocking(cursor);
+      op.result = cursor.drive();
       comm_->record_plan_event(
           mps::PlanEvent{lookup.cache_hit, lookup.plan->round_count(),
                          op.result.bytes_sent, op.result.bytes_reduced});
@@ -609,7 +609,8 @@ void ProgressEngine::run_serial_op(Op& op) {
     }
     case OpSpec::Family::kAllreduce: {
       // Same generic stage chain as the native path, driven by the
-      // blocking composite runner (which records the per-stage events).
+      // blocking composite runner (which records the per-stage events and
+      // runs each stage's cursor over the deferred-exchange bridge).
       const AllreduceBuffers io = op.allreduce_stages();
       const CompositePlan chain = CompositePlan::allreduce_chain(
           spec.key, spec.concat_key, spec.key.n, spec.block_bytes);
@@ -622,21 +623,6 @@ void ProgressEngine::run_serial_op(Op& op) {
   op.done = true;
   ++stats_.serial_fallback;
   ++stats_.completed;
-}
-
-PlanExecution ProgressEngine::drive_blocking(PlanCursor& cursor) {
-  // Same one-budget-per-drive rule as ProgressEngine::wait.
-  const mps::DrainDeadline deadline(comm_->recv_timeout());
-  while (!cursor.done()) {
-    (void)cursor.post_ready();
-    if (cursor.done()) break;
-    BRUCK_ENSURE_MSG(cursor.outstanding() > 0,
-                     "fallback cursor stalled with nothing in flight");
-    cursor.on_complete(comm_->wait_any_recv_within(deadline));
-  }
-  // Flush receive-less trailing rounds the deferred engine still queues.
-  comm_->wait_all_recvs();
-  return cursor.result();
 }
 
 // -- Request ---------------------------------------------------------------

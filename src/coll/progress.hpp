@@ -179,8 +179,6 @@ class ProgressEngine {
   /// completion, through `id` inclusive.
   void run_serial_until(std::uint64_t id);
   void run_serial_op(Op& op);
-  /// Drive one cursor to completion, blocking (the fallback executor).
-  PlanExecution drive_blocking(PlanCursor& cursor);
 
   // Declared first so it outlives the cursors in live_, which hand their
   // state back to it on destruction.

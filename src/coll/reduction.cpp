@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
-#include "coll/index_bruck.hpp"
 #include "util/assert.hpp"
-#include "util/math.hpp"
 
 namespace bruck::coll {
 
@@ -298,121 +295,6 @@ std::string ReduceOp::name() const {
     return "user/" + std::to_string(user_elem_bytes) + "B";
   }
   return to_string(kind) + "/" + to_string(elem);
-}
-
-// ---------------------------------------------------------------------------
-// Per-pair reference oracles.
-
-int reduce_scatter_reference(mps::Communicator& comm,
-                             std::span<const std::byte> send,
-                             std::span<std::byte> recv,
-                             std::int64_t block_bytes, const ReduceOp& op,
-                             const ReduceReferenceOptions& options) {
-  const std::int64_t n = comm.size();
-  const std::int64_t rank = comm.rank();
-  const int k = comm.ports();
-  const std::int64_t b = block_bytes;
-  BRUCK_REQUIRE(b >= 0);
-  BRUCK_REQUIRE(b % std::max<std::int64_t>(1, op.elem_bytes()) == 0);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(send.size()) == n * b);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(recv.size()) == b);
-
-  // Own contribution seeds the accumulator.
-  if (b > 0) {
-    std::memcpy(recv.data(), send.data() + rank * b,
-                static_cast<std::size_t>(b));
-  }
-  int round = options.start_round;
-  if (n == 1) return round;
-
-  // Ring-distance exchange like index_direct: step j sends this rank's
-  // contribution for rank+j and receives (then combines, in ascending j
-  // order) the contribution from rank−j; k steps per round.
-  std::vector<std::vector<std::byte>> stage(static_cast<std::size_t>(k));
-  for (std::int64_t j0 = 1; j0 < n; j0 += k) {
-    const std::int64_t j1 = std::min<std::int64_t>(n, j0 + k);
-    std::vector<mps::SendSpec> sends;
-    std::vector<mps::RecvSpec> recvs;
-    for (std::int64_t j = j0; j < j1; ++j) {
-      if (b == 0) continue;
-      const std::int64_t dst = pos_mod(rank + j, n);
-      std::vector<std::byte>& in = stage[static_cast<std::size_t>(j - j0)];
-      in.resize(static_cast<std::size_t>(b));
-      sends.push_back(mps::SendSpec{
-          dst, send.subspan(static_cast<std::size_t>(dst * b),
-                            static_cast<std::size_t>(b))});
-      recvs.push_back(mps::RecvSpec{pos_mod(rank - j, n), in});
-    }
-    if (!sends.empty()) comm.exchange(round, sends, recvs);
-    for (const mps::RecvSpec& r : recvs) {
-      op.combine(recv.data(), r.data.data(), b);
-    }
-    ++round;
-  }
-  return round;
-}
-
-int allreduce_reference(mps::Communicator& comm,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, const ReduceOp& op,
-                        const ReduceReferenceOptions& options) {
-  const std::int64_t n = comm.size();
-  const std::int64_t rank = comm.rank();
-  const std::int64_t bytes = static_cast<std::int64_t>(send.size());
-  BRUCK_REQUIRE(static_cast<std::int64_t>(recv.size()) == bytes);
-  BRUCK_REQUIRE(bytes % std::max<std::int64_t>(1, op.elem_bytes()) == 0);
-
-  // Ring-circulate all n full vectors, then combine locally in rank order —
-  // every rank applies the identical association ((B0 ⊕ B1) ⊕ B2) ⊕ …
-  std::vector<std::byte> all(static_cast<std::size_t>(n * bytes));
-  if (bytes > 0) {
-    std::memcpy(all.data() + rank * bytes, send.data(),
-                static_cast<std::size_t>(bytes));
-  }
-  int round = options.start_round;
-  for (std::int64_t t = 0; t + 1 < n; ++t) {
-    if (bytes > 0) {
-      const std::int64_t fwd = pos_mod(rank - t, n);
-      const std::int64_t got = pos_mod(rank - t - 1, n);
-      comm.send_and_recv(
-          round,
-          std::span<const std::byte>(all.data() + fwd * bytes,
-                                     static_cast<std::size_t>(bytes)),
-          pos_mod(rank + 1, n),
-          std::span<std::byte>(all.data() + got * bytes,
-                               static_cast<std::size_t>(bytes)),
-          pos_mod(rank - 1, n));
-    }
-    ++round;
-  }
-  if (bytes > 0) {
-    std::memcpy(recv.data(), all.data(), static_cast<std::size_t>(bytes));
-    for (std::int64_t i = 1; i < n; ++i) {
-      op.combine(recv.data(), all.data() + i * bytes, bytes);
-    }
-  }
-  return round;
-}
-
-int concat_via_index(mps::Communicator& comm, std::span<const std::byte> send,
-                     std::span<std::byte> recv, std::int64_t block_bytes,
-                     const ConcatViaIndexOptions& options) {
-  const std::int64_t n = comm.size();
-  BRUCK_REQUIRE(block_bytes >= 0);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(send.size()) == block_bytes);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(recv.size()) == n * block_bytes);
-
-  // B[i, j] := B[i] for all j: replicate the local block n times.
-  std::vector<std::byte> replicated(static_cast<std::size_t>(n * block_bytes));
-  for (std::int64_t j = 0; j < n; ++j) {
-    if (block_bytes > 0) {
-      std::memcpy(replicated.data() + j * block_bytes, send.data(),
-                  static_cast<std::size_t>(block_bytes));
-    }
-  }
-  // After the index, receive block i = B[i, rank] = B[i]: the concatenation.
-  return index_bruck(comm, replicated, recv, block_bytes,
-                     IndexBruckOptions{options.radix, options.start_round});
 }
 
 }  // namespace bruck::coll

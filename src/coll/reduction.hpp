@@ -1,29 +1,16 @@
-// Reduction machinery.
-//
-// Two things live here:
-//
-//  1. `ReduceOp` — the combine-operator table of the reduction collectives
-//     (reduce_scatter / allreduce): sum, min, max, prod over i32/i64/f32/f64
-//     plus a user-function escape hatch.  Operators must be commutative and
-//     associative: both the Bruck-skeleton combining tree and the pipelined
-//     executor's arrival-order completion combine contributions in an
-//     unspecified order (all built-ins qualify; floating-point sum/prod are
-//     order-exact only for data that is, e.g. small integers).
-//
-//  2. The per-pair reduction reference oracles (`reduce_scatter_reference`,
-//     `allreduce_reference`) — direct exchanges that share no code with the
-//     plan engine, the `ExecutionPath::kReference` substrate every compiled
-//     reduction path is tested against.
-//
-//  3. The Proposition 2.3 reduction (`concat_via_index`), kept from the
-//     seed: any concatenation reduces to an index operation.
+// Reduction machinery: `ReduceOp`, the combine-operator table of the
+// reduction collectives (reduce_scatter / allreduce) — sum, min, max, prod
+// over i32/i64/f32/f64 plus a user-function escape hatch — and the SIMD
+// combine kernels behind it.  Operators must be commutative and
+// associative: both the Bruck-skeleton combining tree and the executor's
+// arrival-order completion combine contributions in an unspecified order
+// (all built-ins qualify; floating-point sum/prod are order-exact only for
+// data that is, e.g. small integers).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
-#include "mps/communicator.hpp"
 
 namespace bruck::coll {
 
@@ -109,45 +96,5 @@ enum class CombinePath : std::uint8_t {
 /// against.  Same contract as ReduceOp::combine.
 void combine_elementwise_reference(const ReduceOp& op, std::byte* acc,
                                    const std::byte* in, std::int64_t bytes);
-
-struct ReduceReferenceOptions {
-  int start_round = 0;
-};
-
-/// Per-pair reduce-scatter oracle: `send` holds n blocks (block j is this
-/// rank's contribution to rank j), `recv` one block — the ⊕-combination of
-/// every rank's contribution to this rank.  Direct ring-distance exchange,
-/// k distances per round, combining in ascending distance order; returns
-/// the next free round index (start_round + ⌈(n−1)/k⌉ for n > 1).
-/// Blocking and trace behavior as index_direct.
-int reduce_scatter_reference(mps::Communicator& comm,
-                             std::span<const std::byte> send,
-                             std::span<std::byte> recv,
-                             std::int64_t block_bytes, const ReduceOp& op,
-                             const ReduceReferenceOptions& options = {});
-
-/// Allreduce oracle: `recv` = ⊕ over all ranks of their `send` (same byte
-/// length everywhere, a multiple of op.elem_bytes()).  Ring-circulates the
-/// full vectors (n−1 one-port rounds) and combines locally in rank order,
-/// so every rank applies the identical association order.
-int allreduce_reference(mps::Communicator& comm,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, const ReduceOp& op,
-                        const ReduceReferenceOptions& options = {});
-
-struct ConcatViaIndexOptions {
-  /// Radix handed to the underlying index algorithm.
-  std::int64_t radix = 2;
-  int start_round = 0;
-};
-
-/// Concatenation implemented by the Proposition 2.3 reduction: replicate
-/// this rank's block n times, run the index operation, and the receive
-/// buffer is the concatenation.  Same buffer contract as concat_bruck.
-/// Blocking/thread-safety/trace behavior is the underlying index
-/// algorithm's (index_bruck.hpp).
-int concat_via_index(mps::Communicator& comm, std::span<const std::byte> send,
-                     std::span<std::byte> recv, std::int64_t block_bytes,
-                     const ConcatViaIndexOptions& options = {});
 
 }  // namespace bruck::coll

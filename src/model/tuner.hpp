@@ -257,14 +257,14 @@ struct HierChoice {
     std::int64_t forced_group = 0);
 
 // ---------------------------------------------------------------------------
-// Wire segmentation (the pipelined executor's per-message pipelining knob).
+// Wire segmentation (the plan executor's per-message pipelining knob).
 
 struct SegmentChoice {
   int segments = 1;
   double predicted_us = 0.0;
 };
 
-/// Segment-size floor shared by the tuner and the pipelined executor:
+/// Segment-size floor shared by the tuner and the plan executor:
 /// slices under this size cost more in per-message overhead than their
 /// overlap buys on every profile we model.  The executor applies it per
 /// message (a plan-wide S never splits the small early-round messages of a
@@ -299,8 +299,9 @@ inline constexpr std::int64_t kMinSegmentBytes = 4096;
 /// per-message floor the tuner and executor both apply.  A forced S the
 /// floor would collapse anyway must resolve — and key the cache — exactly
 /// like the tuned pick, or one geometry caches two plans for the same
-/// effective execution.  Only the pipelined executor segments, so
-/// `pipelined = false` resolves to 1.
+/// effective execution.  `pipelined = false` resolves to 1; every caller
+/// in the library passes true (the one executor always segments), and the
+/// flag stays for callers outside it that key plans through this seam.
 [[nodiscard]] int resolve_segment_knob(int requested, bool pipelined,
                                        const LinearModel& machine,
                                        const CostMetrics& predicted);

@@ -3,7 +3,9 @@
 // content, and the schedule renderers.
 #include <gtest/gtest.h>
 
-#include "coll/reduction.hpp"
+#include <cstring>
+
+#include "coll/api.hpp"
 #include "model/costs.hpp"
 #include "model/lemma_c1.hpp"
 #include "model/linear_model.hpp"
@@ -18,7 +20,22 @@ namespace bruck {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Proposition 2.3 reduction, forward.
+// Proposition 2.3 reduction, forward: any concatenation reduces to an index
+// operation.  Replicate this rank's block n times (B[i, j] := B[i]) and run
+// the index; receive block i = B[i, rank] = B[i] is the concatenation.
+
+int concat_via_index(mps::Communicator& comm, std::span<const std::byte> send,
+                     std::span<std::byte> recv, std::int64_t radix) {
+  const std::int64_t n = comm.size();
+  const std::int64_t b = static_cast<std::int64_t>(send.size());
+  std::vector<std::byte> replicated(static_cast<std::size_t>(n * b));
+  for (std::int64_t j = 0; j < n && b > 0; ++j) {
+    std::memcpy(replicated.data() + j * b, send.data(), send.size());
+  }
+  return coll::alltoall(
+      comm, replicated, recv, b,
+      testutil::forced_index(coll::IndexAlgorithm::kBruck, radix));
+}
 
 TEST(ConcatViaIndex, ProducesTheConcatenation) {
   for (std::int64_t n : {1, 2, 5, 9, 16}) {
@@ -28,8 +45,7 @@ TEST(ConcatViaIndex, ProducesTheConcatenation) {
           n, 1, 6,
           [&](mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv) {
-            return coll::concat_via_index(
-                comm, send, recv, 6, coll::ConcatViaIndexOptions{radix, 0});
+            return concat_via_index(comm, send, recv, radix);
           });
       EXPECT_EQ(run.error, "") << "n=" << n << " r=" << radix;
     }
@@ -47,8 +63,7 @@ TEST(ConcatViaIndex, CostsMatchTheUnderlyingIndex) {
       n, 1, b,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::concat_via_index(comm, send, recv, b,
-                                      coll::ConcatViaIndexOptions{2, 0});
+        return concat_via_index(comm, send, recv, 2);
       });
   ASSERT_EQ(run.error, "");
   const model::CostMetrics m = run.trace->metrics();

@@ -1,14 +1,15 @@
-// Three-way cross-check for the concatenation algorithms, plus execution-
-// level verification of the Theorem 4.3 optimality claims.
+// Three-way cross-check for the concatenation algorithms — the executed
+// plan's trace == the independently built schedule == the closed-form cost
+// metrics, with every delivered block verified — over every small geometry
+// (n ≤ 12, k ≤ 4, every feasible last-round strategy) plus larger n, and
+// execution-level verification of the Theorem 4.3 optimality claims.
 #include <gtest/gtest.h>
 
-#include "coll/concat_bruck.hpp"
-#include "coll/concat_folklore.hpp"
-#include "coll/concat_ring.hpp"
-#include "model/costs.hpp"
-#include "model/lower_bounds.hpp"
 #include <algorithm>
 
+#include "coll/api.hpp"
+#include "model/costs.hpp"
+#include "model/lower_bounds.hpp"
 #include "sched/builders_concat.hpp"
 #include "test_util.hpp"
 #include "util/math.hpp"
@@ -16,13 +17,15 @@
 namespace bruck {
 namespace {
 
+using coll::ConcatAlgorithm;
 using model::ConcatLastRound;
 
 struct Case {
+  ConcatAlgorithm algorithm;
   std::int64_t n;
   int k;
   std::int64_t b;
-  ConcatLastRound strategy;
+  ConcatLastRound strategy;  // Bruck only
 };
 
 std::string strategy_name(ConcatLastRound s) {
@@ -36,113 +39,102 @@ std::string strategy_name(ConcatLastRound s) {
 }
 
 std::string case_name(const Case& c) {
-  return "n" + std::to_string(c.n) + "_k" + std::to_string(c.k) + "_b" +
-         std::to_string(c.b) + "_" + strategy_name(c.strategy);
+  std::string name = coll::to_string(c.algorithm) + "_n" +
+                     std::to_string(c.n) + "_k" + std::to_string(c.k) + "_b" +
+                     std::to_string(c.b);
+  if (c.algorithm == ConcatAlgorithm::kBruck) {
+    name += "_" + strategy_name(c.strategy);
+  }
+  return name;
+}
+
+/// Run the allgather facade with a forced algorithm on the thread fabric.
+testutil::CollRun run_allgather(ConcatAlgorithm algorithm, std::int64_t n,
+                                int k, std::int64_t b,
+                                ConcatLastRound strategy) {
+  const coll::AllgatherOptions options =
+      testutil::forced_concat(algorithm, strategy);
+  return testutil::run_concat(
+      n, k, b,
+      [&](mps::Communicator& comm, std::span<const std::byte> send,
+          std::span<std::byte> recv) {
+        return coll::allgather(comm, send, recv, b, options);
+      });
 }
 
 class ConcatCrossCheck : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ConcatCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
-  const auto [n, k, b, strategy] = GetParam();
-  const testutil::CollRun run = testutil::run_concat(
-      n, k, b,
-      [&, strat = strategy](mps::Communicator& comm,
-                            std::span<const std::byte> send,
-                            std::span<std::byte> recv) {
-        return coll::concat_bruck(comm, send, recv, b,
-                                  coll::ConcatBruckOptions{strat, 0});
-      });
-  ASSERT_EQ(run.error, "") << case_name(GetParam());
+  const Case c = GetParam();
+  const testutil::CollRun run =
+      run_allgather(c.algorithm, c.n, c.k, c.b, c.strategy);
+  ASSERT_EQ(run.error, "") << case_name(c);
 
-  sched::Schedule executed = run.trace->to_schedule();
-  sched::Schedule built = sched::build_concat_bruck(n, k, b, strategy);
+  sched::Schedule built(c.n, c.k);
+  model::CostMetrics closed;
+  switch (c.algorithm) {
+    case ConcatAlgorithm::kFolklore:
+      built = sched::build_concat_folklore(c.n, c.b);
+      closed = model::concat_folklore_cost(c.n, c.b);
+      break;
+    case ConcatAlgorithm::kRing:
+      built = sched::build_concat_ring(c.n, c.b);
+      closed = model::concat_ring_cost(c.n, c.b);
+      break;
+    default:
+      built = sched::build_concat_bruck(c.n, c.k, c.b, c.strategy);
+      closed = model::concat_bruck_cost(c.n, c.k, c.b, c.strategy);
+      break;
+  }
   built.normalize();
-  EXPECT_TRUE(executed == built)
-      << "executed and built schedules differ for " << case_name(GetParam());
-
-  const model::CostMetrics closed = model::concat_bruck_cost(n, k, b, strategy);
-  EXPECT_EQ(built.metrics(), closed) << case_name(GetParam());
-  EXPECT_EQ(executed.metrics(), closed) << case_name(GetParam());
-  EXPECT_EQ(run.rounds_used, closed.c1);
+  // Rounds, not whole schedules: the one-port baselines build with k = 1
+  // whatever the fabric's port count.
+  const sched::Schedule executed = run.trace->to_schedule();
+  EXPECT_TRUE(executed.rounds() == built.rounds())
+      << "executed and built schedules differ for " << case_name(c);
+  EXPECT_EQ(built.metrics(), closed) << case_name(c);
+  EXPECT_EQ(executed.metrics(), closed) << case_name(c);
+  EXPECT_EQ(run.rounds_used, closed.c1) << case_name(c);
 }
 
-std::vector<Case> concat_grid() {
+std::vector<Case> grid() {
   std::vector<Case> cases;
-  for (std::int64_t n : {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 27, 28, 32}) {
-    for (int k : {1, 2, 3, 4}) {
-      for (std::int64_t b : {1, 3, 4}) {
-        cases.push_back(Case{n, k, b, ConcatLastRound::kAuto});
-        cases.push_back(Case{n, k, b, ConcatLastRound::kColumnGranular});
-        cases.push_back(Case{n, k, b, ConcatLastRound::kTwoRound});
-        if (model::concat_byte_split_feasible(n, k, b)) {
-          cases.push_back(Case{n, k, b, ConcatLastRound::kByteSplit});
-        }
-      }
+  const auto add_bruck = [&](std::int64_t n, int k, std::int64_t b) {
+    for (ConcatLastRound strategy :
+         {ConcatLastRound::kAuto, ConcatLastRound::kColumnGranular,
+          ConcatLastRound::kTwoRound}) {
+      cases.push_back(Case{ConcatAlgorithm::kBruck, n, k, b, strategy});
     }
+    if (model::concat_byte_split_feasible(n, k, b)) {
+      cases.push_back(
+          Case{ConcatAlgorithm::kBruck, n, k, b, ConcatLastRound::kByteSplit});
+    }
+  };
+  const auto add_baselines = [&](std::int64_t n, int k, std::int64_t b) {
+    cases.push_back(
+        Case{ConcatAlgorithm::kFolklore, n, k, b, ConcatLastRound::kAuto});
+    cases.push_back(
+        Case{ConcatAlgorithm::kRing, n, k, b, ConcatLastRound::kAuto});
+  };
+  // Every small geometry.
+  for (std::int64_t n = 1; n <= 12; ++n) {
+    for (int k = 1; k <= 4; ++k) {
+      for (std::int64_t b : {1, 3, 4}) add_bruck(n, k, b);
+      for (std::int64_t b : {1, 6}) add_baselines(n, k, b);
+    }
+  }
+  // Larger n.
+  for (std::int64_t n : {13, 16, 17, 25, 27, 28, 32}) {
+    for (int k = 1; k <= 4; ++k) {
+      for (std::int64_t b : {1, 3, 4}) add_bruck(n, k, b);
+    }
+    add_baselines(n, 1, 6);
   }
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(Grid, ConcatCrossCheck,
-                         ::testing::ValuesIn(concat_grid()),
+INSTANTIATE_TEST_SUITE_P(Grid, ConcatCrossCheck, ::testing::ValuesIn(grid()),
                          [](const auto& pinfo) { return case_name(pinfo.param); });
-
-class FolkloreCrossCheck
-    : public ::testing::TestWithParam<std::tuple<std::int64_t, std::int64_t>> {
-};
-
-TEST_P(FolkloreCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
-  const auto [n, b] = GetParam();
-  const testutil::CollRun run = testutil::run_concat(
-      n, 1, b,
-      [&](mps::Communicator& comm, std::span<const std::byte> send,
-          std::span<std::byte> recv) {
-        return coll::concat_folklore(comm, send, recv, b, {});
-      });
-  ASSERT_EQ(run.error, "");
-  sched::Schedule executed = run.trace->to_schedule();
-  sched::Schedule built = sched::build_concat_folklore(n, b);
-  built.normalize();
-  EXPECT_TRUE(executed == built) << "n=" << n << " b=" << b;
-  EXPECT_EQ(executed.metrics(), model::concat_folklore_cost(n, b));
-}
-
-INSTANTIATE_TEST_SUITE_P(Grid, FolkloreCrossCheck,
-                         ::testing::Combine(::testing::Values(2, 3, 5, 8, 11,
-                                                              16, 21, 32),
-                                            ::testing::Values(1, 6)),
-                         [](const auto& pinfo) {
-                           return "n" + std::to_string(std::get<0>(pinfo.param)) +
-                                  "_b" + std::to_string(std::get<1>(pinfo.param));
-                         });
-
-class RingCrossCheck
-    : public ::testing::TestWithParam<std::tuple<std::int64_t, std::int64_t>> {
-};
-
-TEST_P(RingCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
-  const auto [n, b] = GetParam();
-  const testutil::CollRun run = testutil::run_concat(
-      n, 1, b,
-      [&](mps::Communicator& comm, std::span<const std::byte> send,
-          std::span<std::byte> recv) {
-        return coll::concat_ring(comm, send, recv, b, {});
-      });
-  ASSERT_EQ(run.error, "");
-  sched::Schedule executed = run.trace->to_schedule();
-  sched::Schedule built = sched::build_concat_ring(n, b);
-  built.normalize();
-  EXPECT_TRUE(executed == built);
-  EXPECT_EQ(executed.metrics(), model::concat_ring_cost(n, b));
-}
-
-INSTANTIATE_TEST_SUITE_P(Grid, RingCrossCheck,
-                         ::testing::Combine(::testing::Values(2, 3, 7, 12, 20),
-                                            ::testing::Values(1, 9)),
-                         [](const auto& pinfo) {
-                           return "n" + std::to_string(std::get<0>(pinfo.param)) +
-                                  "_b" + std::to_string(std::get<1>(pinfo.param));
-                         });
 
 // ---------------------------------------------------------------------------
 // Theorem 4.3 at execution level: measured (not just predicted) C1 and C2
@@ -153,12 +145,8 @@ TEST(ConcatExecutedOptimality, MeetsBothLowerBoundsOutsideTheRange) {
     for (int k = 1; k <= 4; ++k) {
       for (std::int64_t b : {1, 2, 3}) {
         if (model::concat_paper_nonoptimal_range(n, k, b)) continue;
-        const testutil::CollRun run = testutil::run_concat(
-            n, k, b,
-            [&](mps::Communicator& comm, std::span<const std::byte> send,
-                std::span<std::byte> recv) {
-              return coll::concat_bruck(comm, send, recv, b, {});
-            });
+        const testutil::CollRun run = run_allgather(
+            ConcatAlgorithm::kBruck, n, k, b, ConcatLastRound::kAuto);
         ASSERT_EQ(run.error, "");
         const model::CostMetrics m = run.trace->metrics();
         EXPECT_EQ(m.c1, model::concat_c1_lower_bound(n, k))

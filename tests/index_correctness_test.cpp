@@ -1,25 +1,21 @@
 // End-to-end content correctness of the index (alltoall) algorithms on the
-// threaded substrate, across n × radix × ports × block-size grids.
+// threaded substrate: the local phases, block-size edges and larger n than
+// the index_crosscheck_test grid (which verifies every n ≤ 12 payload and
+// trace), and algebraic properties.
 #include <gtest/gtest.h>
 
-#include <set>
-#include <tuple>
-
+#include "coll/api.hpp"
 #include "coll/blocks.hpp"
-#include "coll/index_bruck.hpp"
-#include "coll/index_direct.hpp"
-#include "coll/index_pairwise.hpp"
-#include "coll/pack.hpp"
 #include "test_util.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
-#include "util/radix.hpp"
 #include "util/rng.hpp"
 
 namespace bruck {
 namespace {
 
-using coll::IndexBruckOptions;
+using coll::IndexAlgorithm;
+using testutil::forced_index;
 using testutil::run_index;
 
 // ---------------------------------------------------------------------------
@@ -65,156 +61,69 @@ TEST(Blocks, UnrotateByRankInvertsPhaseOneAfterFullRotation) {
   }
 }
 
-TEST(Pack, PackUnpackRoundTrip) {
-  for (std::int64_t n : {1, 2, 5, 8, 13}) {
-    for (std::int64_t r : {2, 3, 5}) {
-      if (r > std::max<std::int64_t>(2, n)) continue;
-      const std::int64_t b = 3;
-      std::vector<std::byte> buf(static_cast<std::size_t>(n * b));
-      fill_random_bytes(buf, 11);
-      const std::vector<std::byte> original = buf;
-      const int w = radix_digit_count(n, r);
-      for (int x = 0; x < w; ++x) {
-        for (std::int64_t z = 1; z < r; ++z) {
-          std::vector<std::byte> packed(static_cast<std::size_t>(n * b));
-          const std::int64_t cnt =
-              coll::pack_by_digit(buf, packed, n, b, r, x, z);
-          // Scramble the member slots, then unpack: must restore.
-          for (std::int64_t m : radix_digit_members(n, r, x, z)) {
-            buf[static_cast<std::size_t>(m * b)] = std::byte{0xFF};
-          }
-          const std::int64_t cnt2 =
-              coll::unpack_by_digit(buf, packed, n, b, r, x, z);
-          EXPECT_EQ(cnt, cnt2);
-          EXPECT_EQ(buf, original) << "n=" << n << " r=" << r << " x=" << x
-                                   << " z=" << z;
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Parameterized end-to-end sweeps.
 
-struct BruckCase {
+struct Case {
+  IndexAlgorithm algorithm;
   std::int64_t n;
-  std::int64_t radix;
+  std::int64_t radix;  // Bruck only
   int k;
   std::int64_t b;
 };
 
-class IndexBruckSweep : public ::testing::TestWithParam<BruckCase> {};
+class IndexSweep : public ::testing::TestWithParam<Case> {};
 
-TEST_P(IndexBruckSweep, DeliversEveryBlockToItsDestination) {
-  const auto [n, radix, k, b] = GetParam();
+TEST_P(IndexSweep, DeliversEveryBlockToItsDestination) {
+  const Case c = GetParam();
+  const coll::AlltoallOptions options = forced_index(c.algorithm, c.radix);
   const testutil::CollRun run =
-      run_index(n, k, b, [&](mps::Communicator& comm,
-                             std::span<const std::byte> send,
-                             std::span<std::byte> recv) {
-        return coll::index_bruck(comm, send, recv, b,
-                                 IndexBruckOptions{radix, 0});
+      run_index(c.n, c.k, c.b, [&](mps::Communicator& comm,
+                                   std::span<const std::byte> send,
+                                   std::span<std::byte> recv) {
+        return coll::alltoall(comm, send, recv, c.b, options);
       });
-  EXPECT_EQ(run.error, "") << "n=" << n << " r=" << radix << " k=" << k
-                           << " b=" << b;
+  EXPECT_EQ(run.error, "");
 }
 
-std::vector<BruckCase> bruck_cases() {
-  std::vector<BruckCase> cases;
-  std::set<std::tuple<std::int64_t, std::int64_t, int>> seen;
-  for (std::int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 16, 17, 24, 25,
-                         27, 31, 32, 33}) {
-    for (std::int64_t radix : {std::int64_t{2}, std::int64_t{3},
-                               std::int64_t{4}, std::int64_t{7}, n}) {
-      if (radix < 2 || radix > std::max<std::int64_t>(2, n)) continue;
-      for (int k : {1, 2, 3}) {
-        if (!seen.insert({n, radix, k}).second) continue;
-        cases.push_back(BruckCase{n, radix, k, 4});
+std::vector<Case> cases() {
+  std::vector<Case> out;
+  for (std::int64_t n : {24, 25, 33}) {
+    for (std::int64_t radix : {std::int64_t{2}, std::int64_t{4},
+                               std::int64_t{7}, n}) {
+      for (int k : {1, 3}) {
+        out.push_back(Case{IndexAlgorithm::kBruck, n, radix, k, 4});
       }
     }
   }
   // Block-size edge cases on a fixed topology.
   for (std::int64_t b : {0, 1, 2, 9, 64}) {
-    cases.push_back(BruckCase{6, 2, 1, b});
-    cases.push_back(BruckCase{6, 3, 2, b});
+    out.push_back(Case{IndexAlgorithm::kBruck, 6, 2, 1, b});
+    out.push_back(Case{IndexAlgorithm::kBruck, 6, 3, 2, b});
+    out.push_back(Case{IndexAlgorithm::kDirect, 9, 0, 2, b});
+    out.push_back(Case{IndexAlgorithm::kPairwise, 8, 0, 3, b});
   }
-  return cases;
+  return out;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, IndexBruckSweep,
-                         ::testing::ValuesIn(bruck_cases()),
+INSTANTIATE_TEST_SUITE_P(Sweep, IndexSweep, ::testing::ValuesIn(cases()),
                          [](const auto& pinfo) {
-                           const BruckCase& c = pinfo.param;
-                           return "n" + std::to_string(c.n) + "_r" +
+                           const Case& c = pinfo.param;
+                           return coll::to_string(c.algorithm) + "_n" +
+                                  std::to_string(c.n) + "_r" +
                                   std::to_string(c.radix) + "_k" +
                                   std::to_string(c.k) + "_b" +
                                   std::to_string(c.b);
                          });
-
-struct SimpleCase {
-  std::int64_t n;
-  int k;
-  std::int64_t b;
-};
-
-class IndexDirectSweep : public ::testing::TestWithParam<SimpleCase> {};
-
-TEST_P(IndexDirectSweep, DeliversEveryBlockToItsDestination) {
-  const auto [n, k, b] = GetParam();
-  const testutil::CollRun run =
-      run_index(n, k, b, [&](mps::Communicator& comm,
-                             std::span<const std::byte> send,
-                             std::span<std::byte> recv) {
-        return coll::index_direct(comm, send, recv, b,
-                                  coll::IndexDirectOptions{0});
-      });
-  EXPECT_EQ(run.error, "");
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, IndexDirectSweep,
-    ::testing::Values(SimpleCase{1, 1, 4}, SimpleCase{2, 1, 4},
-                      SimpleCase{5, 1, 4}, SimpleCase{5, 2, 4},
-                      SimpleCase{8, 3, 4}, SimpleCase{13, 2, 1},
-                      SimpleCase{16, 4, 8}, SimpleCase{9, 1, 0},
-                      SimpleCase{32, 5, 2}),
-    [](const auto& pinfo) {
-      const SimpleCase& c = pinfo.param;
-      return "n" + std::to_string(c.n) + "_k" + std::to_string(c.k) + "_b" +
-             std::to_string(c.b);
-    });
-
-class IndexPairwiseSweep : public ::testing::TestWithParam<SimpleCase> {};
-
-TEST_P(IndexPairwiseSweep, DeliversEveryBlockToItsDestination) {
-  const auto [n, k, b] = GetParam();
-  const testutil::CollRun run =
-      run_index(n, k, b, [&](mps::Communicator& comm,
-                             std::span<const std::byte> send,
-                             std::span<std::byte> recv) {
-        return coll::index_pairwise(comm, send, recv, b,
-                                    coll::IndexPairwiseOptions{0});
-      });
-  EXPECT_EQ(run.error, "");
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, IndexPairwiseSweep,
-    ::testing::Values(SimpleCase{1, 1, 4}, SimpleCase{2, 1, 4},
-                      SimpleCase{4, 1, 4}, SimpleCase{8, 2, 4},
-                      SimpleCase{16, 3, 8}, SimpleCase{32, 1, 2}),
-    [](const auto& pinfo) {
-      const SimpleCase& c = pinfo.param;
-      return "n" + std::to_string(c.n) + "_k" + std::to_string(c.k) + "_b" +
-             std::to_string(c.b);
-    });
 
 TEST(IndexPairwise, RejectsNonPowerOfTwo) {
   EXPECT_THROW(
       run_index(6, 1, 4,
                 [&](mps::Communicator& comm, std::span<const std::byte> send,
                     std::span<std::byte> recv) {
-                  return coll::index_pairwise(comm, send, recv, 4, {});
+                  return coll::alltoall(
+                      comm, send, recv, 4,
+                      forced_index(IndexAlgorithm::kPairwise));
                 }),
       ContractViolation);
 }
@@ -235,9 +144,11 @@ TEST(IndexProperty, AppliedTwiceIsIdentity) {
       coll::fill_index_send(original, n, rank, b, 99);
       std::vector<std::byte> once(original.size());
       std::vector<std::byte> twice(original.size());
-      int next = coll::index_bruck(comm, original, once, b,
-                                   IndexBruckOptions{radix, 0});
-      coll::index_bruck(comm, once, twice, b, IndexBruckOptions{radix, next});
+      const int next =
+          coll::alltoall(comm, original, once, b,
+                         forced_index(IndexAlgorithm::kBruck, radix));
+      coll::alltoall(comm, once, twice, b,
+                     forced_index(IndexAlgorithm::kBruck, radix, next));
       if (twice != original) {
         errors[static_cast<std::size_t>(rank)] = "involution violated";
       }
@@ -254,13 +165,21 @@ TEST(IndexProperty, AllAlgorithmsProduceIdenticalOutput) {
       const std::int64_t rank = comm.rank();
       std::vector<std::byte> send(static_cast<std::size_t>(n * b));
       coll::fill_index_send(send, n, rank, b, 5);
-      std::vector<std::byte> a(send.size()), c(send.size()), d(send.size());
-      int next = coll::index_bruck(comm, send, a, b, IndexBruckOptions{2, 0});
-      next = coll::index_direct(comm, send, c, b,
-                                coll::IndexDirectOptions{next});
-      coll::index_pairwise(comm, send, d, b,
-                           coll::IndexPairwiseOptions{next});
-      if (a != c || a != d) mismatches[static_cast<std::size_t>(rank)] = 1;
+      std::vector<std::byte> a(send.size()), c(send.size()), d(send.size()),
+          oracle(send.size());
+      int next = coll::alltoall(comm, send, a, b,
+                                forced_index(IndexAlgorithm::kBruck, 2));
+      next = coll::alltoall(comm, send, c, b,
+                            forced_index(IndexAlgorithm::kDirect, 0, next));
+      next = coll::alltoall(comm, send, d, b,
+                            forced_index(IndexAlgorithm::kPairwise, 0, next));
+      coll::AlltoallOptions reference =
+          forced_index(IndexAlgorithm::kAuto, 0, next);
+      reference.path = coll::ExecutionPath::kReference;
+      coll::alltoall(comm, send, oracle, b, reference);
+      if (a != c || a != d || a != oracle) {
+        mismatches[static_cast<std::size_t>(rank)] = 1;
+      }
     });
     for (int m : mismatches) EXPECT_EQ(m, 0) << "n=" << n;
   }
@@ -271,16 +190,18 @@ TEST(IndexBruck, RejectsBadRadix) {
       run_index(4, 1, 4,
                 [&](mps::Communicator& comm, std::span<const std::byte> send,
                     std::span<std::byte> recv) {
-                  return coll::index_bruck(comm, send, recv, 4,
-                                           IndexBruckOptions{1, 0});
+                  return coll::alltoall(
+                      comm, send, recv, 4,
+                      forced_index(IndexAlgorithm::kBruck, 1));
                 }),
       ContractViolation);
   EXPECT_THROW(
       run_index(4, 1, 4,
                 [&](mps::Communicator& comm, std::span<const std::byte> send,
                     std::span<std::byte> recv) {
-                  return coll::index_bruck(comm, send, recv, 4,
-                                           IndexBruckOptions{5, 0});
+                  return coll::alltoall(
+                      comm, send, recv, 4,
+                      forced_index(IndexAlgorithm::kBruck, 5));
                 }),
       ContractViolation);
 }
@@ -298,7 +219,8 @@ TEST(IndexBruck, StartRoundOffsetsTrace) {
         comm.send_and_recv(0, warm_out, peer, warm_in, peer);
         comm.send_and_recv(1, warm_out, peer, warm_in, peer);
         comm.send_and_recv(2, warm_out, peer, warm_in, peer);
-        return coll::index_bruck(comm, send, recv, 2, IndexBruckOptions{2, 3});
+        return coll::alltoall(comm, send, recv, 2,
+                              forced_index(IndexAlgorithm::kBruck, 2, 3));
       });
   EXPECT_EQ(run.error, "");
   EXPECT_EQ(run.rounds_used, 3 + 2);  // 3 warm-up + ceil(log2 4) rounds

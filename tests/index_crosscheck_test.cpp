@@ -1,14 +1,11 @@
-// The three-way cross-check for the index algorithms: executed trace ==
-// independently built schedule == closed-form cost metrics, over parameter
-// grids.  This is the repo's primary anti-bug device (DESIGN.md §4).
+// The three-way cross-check for the index algorithms: the executed plan's
+// trace == the independently built schedule == the closed-form cost
+// metrics, with every delivered block verified, over every small geometry
+// (n ≤ 12, k ≤ 4, every radix) plus larger n.  This is the repo's primary
+// anti-bug device (DESIGN.md §4).
 #include <gtest/gtest.h>
 
-#include <set>
-#include <tuple>
-
-#include "coll/index_bruck.hpp"
-#include "coll/index_direct.hpp"
-#include "coll/index_pairwise.hpp"
+#include "coll/api.hpp"
 #include "model/costs.hpp"
 #include "sched/builders_index.hpp"
 #include "test_util.hpp"
@@ -18,117 +15,95 @@
 namespace bruck {
 namespace {
 
+using coll::IndexAlgorithm;
+
 struct Case {
+  IndexAlgorithm algorithm;
   std::int64_t n;
-  std::int64_t radix;  // 0 for non-bruck algorithms
+  std::int64_t radix;  // Bruck only
   int k;
   std::int64_t b;
 };
 
 std::string case_name(const Case& c) {
-  return "n" + std::to_string(c.n) + "_r" + std::to_string(c.radix) + "_k" +
-         std::to_string(c.k) + "_b" + std::to_string(c.b);
+  return coll::to_string(c.algorithm) + "_n" + std::to_string(c.n) + "_r" +
+         std::to_string(c.radix) + "_k" + std::to_string(c.k) + "_b" +
+         std::to_string(c.b);
 }
 
-class BruckCrossCheck : public ::testing::TestWithParam<Case> {};
+class IndexCrossCheck : public ::testing::TestWithParam<Case> {};
 
-TEST_P(BruckCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
-  const auto [n, radix, k, b] = GetParam();
+TEST_P(IndexCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
+  const Case c = GetParam();
+  const coll::AlltoallOptions options =
+      testutil::forced_index(c.algorithm, c.radix);
   const testutil::CollRun run = testutil::run_index(
-      n, k, b,
+      c.n, c.k, c.b,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::index_bruck(comm, send, recv, b,
-                                 coll::IndexBruckOptions{radix, 0});
+        return coll::alltoall(comm, send, recv, c.b, options);
       });
-  ASSERT_EQ(run.error, "");
+  ASSERT_EQ(run.error, "") << case_name(c);
 
-  sched::Schedule executed = run.trace->to_schedule();
-  sched::Schedule built = sched::build_index_bruck(n, radix, k, b);
+  sched::Schedule built(c.n, c.k);
+  model::CostMetrics closed;
+  switch (c.algorithm) {
+    case IndexAlgorithm::kDirect:
+      built = sched::build_index_direct(c.n, c.k, c.b);
+      closed = model::index_direct_cost(c.n, c.k, c.b);
+      break;
+    case IndexAlgorithm::kPairwise:
+      built = sched::build_index_pairwise(c.n, c.k, c.b);
+      closed = model::index_pairwise_cost(c.n, c.k, c.b);
+      break;
+    default:
+      built = sched::build_index_bruck(c.n, c.radix, c.k, c.b);
+      closed = model::index_bruck_cost(c.n, c.radix, c.k, c.b);
+      break;
+  }
   built.normalize();
+  const sched::Schedule executed = run.trace->to_schedule();
   EXPECT_TRUE(executed == built)
-      << "executed and built schedules differ for " << case_name(GetParam());
-
-  const model::CostMetrics closed = model::index_bruck_cost(n, radix, k, b);
-  EXPECT_EQ(built.metrics(), closed);
-  EXPECT_EQ(executed.metrics(), closed);
-
-  // The algorithm's reported round usage equals C1.
-  EXPECT_EQ(run.rounds_used, closed.c1);
+      << "executed and built schedules differ for " << case_name(c);
+  EXPECT_EQ(built.metrics(), closed) << case_name(c);
+  EXPECT_EQ(executed.metrics(), closed) << case_name(c);
+  // The reported round usage equals C1.
+  EXPECT_EQ(run.rounds_used, closed.c1) << case_name(c);
 }
 
-std::vector<Case> bruck_grid() {
+std::vector<Case> grid() {
   std::vector<Case> cases;
-  std::set<std::tuple<std::int64_t, std::int64_t, int>> seen;
-  for (std::int64_t n : {2, 3, 5, 7, 8, 9, 13, 16, 17, 27, 32}) {
-    for (std::int64_t radix : {std::int64_t{2}, std::int64_t{3},
-                               std::int64_t{5}, n}) {
-      if (radix < 2 || radix > n) continue;
-      for (int k : {1, 2, 4}) {
-        if (!seen.insert({n, radix, k}).second) continue;
-        cases.push_back(Case{n, radix, k, 3});
+  const auto add_direct_and_pairwise = [&](std::int64_t n, int k,
+                                           std::int64_t b) {
+    cases.push_back(Case{IndexAlgorithm::kDirect, n, 0, k, b});
+    if (is_pow2(n)) {
+      cases.push_back(Case{IndexAlgorithm::kPairwise, n, 0, k, b});
+    }
+  };
+  // Every small geometry: every radix, direct, and pairwise where valid.
+  for (std::int64_t n = 1; n <= 12; ++n) {
+    for (int k = 1; k <= 4; ++k) {
+      for (std::int64_t r = 2; r <= std::max<std::int64_t>(2, n); ++r) {
+        cases.push_back(Case{IndexAlgorithm::kBruck, n, r, k, 3});
       }
+      add_direct_and_pairwise(n, k, 3);
+    }
+  }
+  // Larger n: the classic radices.
+  for (std::int64_t n : {13, 16, 17, 27, 31, 32}) {
+    for (int k : {1, 2, 4, 5}) {
+      for (std::int64_t r : {std::int64_t{2}, std::int64_t{3},
+                             std::int64_t{5}, n}) {
+        cases.push_back(Case{IndexAlgorithm::kBruck, n, r, k, 3});
+      }
+      add_direct_and_pairwise(n, k, 2);
     }
   }
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(Grid, BruckCrossCheck,
-                         ::testing::ValuesIn(bruck_grid()),
+INSTANTIATE_TEST_SUITE_P(Grid, IndexCrossCheck, ::testing::ValuesIn(grid()),
                          [](const auto& pinfo) { return case_name(pinfo.param); });
-
-class DirectCrossCheck : public ::testing::TestWithParam<Case> {};
-
-TEST_P(DirectCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
-  const auto [n, radix, k, b] = GetParam();
-  (void)radix;
-  const testutil::CollRun run = testutil::run_index(
-      n, k, b,
-      [&](mps::Communicator& comm, std::span<const std::byte> send,
-          std::span<std::byte> recv) {
-        return coll::index_direct(comm, send, recv, b,
-                                  coll::IndexDirectOptions{0});
-      });
-  ASSERT_EQ(run.error, "");
-  sched::Schedule executed = run.trace->to_schedule();
-  sched::Schedule built = sched::build_index_direct(n, k, b);
-  built.normalize();
-  EXPECT_TRUE(executed == built);
-  EXPECT_EQ(executed.metrics(), model::index_direct_cost(n, k, b));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, DirectCrossCheck,
-    ::testing::Values(Case{2, 0, 1, 3}, Case{5, 0, 1, 3}, Case{5, 0, 2, 3},
-                      Case{9, 0, 3, 5}, Case{16, 0, 1, 1}, Case{16, 0, 5, 8},
-                      Case{31, 0, 4, 2}),
-    [](const auto& pinfo) { return case_name(pinfo.param); });
-
-class PairwiseCrossCheck : public ::testing::TestWithParam<Case> {};
-
-TEST_P(PairwiseCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
-  const auto [n, radix, k, b] = GetParam();
-  (void)radix;
-  const testutil::CollRun run = testutil::run_index(
-      n, k, b,
-      [&](mps::Communicator& comm, std::span<const std::byte> send,
-          std::span<std::byte> recv) {
-        return coll::index_pairwise(comm, send, recv, b,
-                                    coll::IndexPairwiseOptions{0});
-      });
-  ASSERT_EQ(run.error, "");
-  sched::Schedule executed = run.trace->to_schedule();
-  sched::Schedule built = sched::build_index_pairwise(n, k, b);
-  built.normalize();
-  EXPECT_TRUE(executed == built);
-  EXPECT_EQ(executed.metrics(), model::index_pairwise_cost(n, k, b));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, PairwiseCrossCheck,
-    ::testing::Values(Case{2, 0, 1, 3}, Case{4, 0, 1, 3}, Case{8, 0, 2, 5},
-                      Case{16, 0, 3, 1}, Case{32, 0, 4, 2}),
-    [](const auto& pinfo) { return case_name(pinfo.param); });
 
 // ---------------------------------------------------------------------------
 // Schedule-level claims of Section 3.2 that need no execution.

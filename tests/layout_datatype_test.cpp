@@ -3,7 +3,8 @@
 // the strided buffer with layout_gather, run the plain contiguous
 // collective, unpack with layout_scatter.  The zero-copy extent walk must
 // deliver the identical receive buffer, *including* untouched gap bytes
-// (the sentinel check), on every execution path.  The digest tests pin the
+// (the sentinel check), on the plan path and the kReference oracle, and
+// the wire traffic must be the one the path specifies.  The digest tests pin the
 // PlanCache policy: contiguous layouts key identically to plain calls, and
 // stride jitter within one contiguity class shares one cached plan.
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include "coll/layout.hpp"
 #include "coll/plan_cache.hpp"
 #include "mps/runtime.hpp"
+#include "sched/builders_concat.hpp"
+#include "sched/builders_index.hpp"
 #include "util/rng.hpp"
 
 namespace bruck::coll {
@@ -66,6 +69,14 @@ struct SweepResult {
   std::string error;
 };
 
+/// The executed trace equals the schedule the call's path specifies.
+void expect_trace(const mps::Trace& trace, sched::Schedule built) {
+  sched::Schedule executed = trace.to_schedule();
+  executed.normalize();
+  built.normalize();
+  EXPECT_TRUE(executed == built) << "trace diverges from the specification";
+}
+
 std::string compare(std::span<const std::byte> got,
                     std::span<const std::byte> want) {
   if (got.size() != want.size()) return "size mismatch";
@@ -82,7 +93,6 @@ std::string compare(std::span<const std::byte> got,
 TEST(LayoutDatatype, AlltoallRandomStridedSweep) {
   SplitMix64 rng(0x1A7007);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 14; ++trial) {
     const std::int64_t n = 1 + static_cast<std::int64_t>(rng.next_below(8));
@@ -96,7 +106,7 @@ TEST(LayoutDatatype, AlltoallRandomStridedSweep) {
                           ? Layout::vector(2, b / 2, b / 2 + 3)
                           : Layout::vector(1, b, b).with_block_stride(b + 5);
     const std::uint64_t seed = rng.next();
-    for (int pi = 0; pi < 3; ++pi) {
+    for (int pi = 0; pi < 2; ++pi) {
       AlltoallOptions options;
       options.path = paths[pi];
       options.segments = static_cast<int>(rng.next_below(3));
@@ -104,7 +114,8 @@ TEST(LayoutDatatype, AlltoallRandomStridedSweep) {
                    " k=" + std::to_string(k) + " path=" + std::to_string(pi) +
                    " sl=" + sl.describe() + " rl=" + rl.describe());
       std::vector<std::string> errors(static_cast<std::size_t>(n));
-      mps::run_spmd(n, k, [&](mps::Communicator& comm) {
+      const mps::RunResult rr = mps::run_spmd(n, k, [&](mps::Communicator&
+                                                            comm) {
         const std::int64_t rank = comm.rank();
         std::vector<std::byte> send =
             random_buffer(sl.span_bytes(n), seed ^ static_cast<std::uint64_t>(rank));
@@ -125,6 +136,13 @@ TEST(LayoutDatatype, AlltoallRandomStridedSweep) {
         errors[static_cast<std::size_t>(rank)] = compare(recv, expected);
       });
       for (const std::string& e : errors) ASSERT_EQ(e, "");
+      // Layouts never change the wire: the oracle's direct exchange, or
+      // the tuned Bruck plan's schedule.
+      expect_trace(*rr.trace,
+                   options.path == ExecutionPath::kReference
+                       ? sched::build_index_direct(n, k, b)
+                       : sched::build_index_bruck(
+                             n, plan_alltoall(n, k, b, options).radix, k, b));
     }
   }
 }
@@ -132,7 +150,6 @@ TEST(LayoutDatatype, AlltoallRandomStridedSweep) {
 TEST(LayoutDatatype, AllgatherRandomStridedSweep) {
   SplitMix64 rng(0xA11);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 10; ++trial) {
     const std::int64_t n = 1 + static_cast<std::int64_t>(rng.next_below(9));
@@ -142,11 +159,12 @@ TEST(LayoutDatatype, AllgatherRandomStridedSweep) {
     const Layout rl = Layout::vector(1, b, b).with_block_stride(b + 7);
     const std::uint64_t seed = rng.next();
     AllgatherOptions options;
-    options.path = paths[trial % 3];
+    options.path = paths[trial % 2];
     SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" + std::to_string(n) +
                  " sl=" + sl.describe());
     std::vector<std::string> errors(static_cast<std::size_t>(n));
-    mps::run_spmd(n, k, [&](mps::Communicator& comm) {
+    const mps::RunResult rr = mps::run_spmd(n, k, [&](mps::Communicator&
+                                                          comm) {
       const std::int64_t rank = comm.rank();
       // Send is one block; recv holds n blocks through the recv layout.
       std::vector<std::byte> send = random_buffer(
@@ -165,6 +183,10 @@ TEST(LayoutDatatype, AllgatherRandomStridedSweep) {
       errors[static_cast<std::size_t>(rank)] = compare(recv, expected);
     });
     for (const std::string& e : errors) ASSERT_EQ(e, "");
+    expect_trace(*rr.trace, options.path == ExecutionPath::kReference
+                                ? sched::build_index_direct(n, k, b)
+                                : sched::build_concat_bruck(
+                                      n, k, b, model::ConcatLastRound::kAuto));
   }
 }
 
@@ -205,7 +227,6 @@ void accumulate_f64(std::span<std::byte> acc, std::span<const std::byte> in) {
 TEST(LayoutDatatype, ReduceScatterStridedMatchesStagedOracle) {
   SplitMix64 rng(0x5EDU);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 9; ++trial) {
     const std::int64_t n = 2 + static_cast<std::int64_t>(rng.next_below(7));
@@ -215,7 +236,7 @@ TEST(LayoutDatatype, ReduceScatterStridedMatchesStagedOracle) {
     const Layout rl = Layout::vector(b / 8, 8, 16);
     const std::uint64_t seed = rng.next();
     ReduceScatterOptions options;
-    options.path = paths[trial % 3];
+    options.path = paths[trial % 2];
     SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" + std::to_string(n) +
                  " sl=" + sl.describe());
     const ReduceOp op = ReduceOp::sum(ReduceElem::kF64);
@@ -246,7 +267,6 @@ TEST(LayoutDatatype, ReduceScatterStridedMatchesStagedOracle) {
 TEST(LayoutDatatype, AllreduceStridedMatchesStagedOracle) {
   SplitMix64 rng(0xA11D);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 6; ++trial) {
     const std::int64_t n = 2 + static_cast<std::int64_t>(rng.next_below(6));
@@ -255,7 +275,7 @@ TEST(LayoutDatatype, AllreduceStridedMatchesStagedOracle) {
     const Layout rl = Layout::vector(bytes / 8, 8, 24);
     const std::uint64_t seed = rng.next();
     AllreduceOptions options;
-    options.path = paths[trial % 3];
+    options.path = paths[trial % 2];
     SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" + std::to_string(n) +
                  " sl=" + sl.describe());
     const ReduceOp op = ReduceOp::sum(ReduceElem::kF64);
@@ -287,7 +307,6 @@ TEST(LayoutDatatype, AllreduceStridedMatchesStagedOracle) {
 TEST(LayoutDatatype, AlltoallvStridedCanonicalDispls) {
   SplitMix64 rng(0xA2A5);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 6; ++trial) {
     const std::int64_t n = 2 + static_cast<std::int64_t>(rng.next_below(6));
@@ -307,7 +326,7 @@ TEST(LayoutDatatype, AlltoallvStridedCanonicalDispls) {
     }
     const std::uint64_t seed = rng.next();
     AlltoallvOptions options;
-    options.path = paths[trial % 3];
+    options.path = paths[trial % 2];
     SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" + std::to_string(n));
     std::vector<std::string> errors(static_cast<std::size_t>(n));
     mps::run_spmd(n, k, [&](mps::Communicator& comm) {
@@ -358,8 +377,7 @@ TEST(LayoutDatatype, TiledAndInterleavedBlockStride) {
     const std::int64_t b = sl.block_bytes();
     const Layout rl = Layout::contiguous(b);
     for (const ExecutionPath path :
-         {ExecutionPath::kReference, ExecutionPath::kCompiled,
-          ExecutionPath::kPipelined}) {
+         {ExecutionPath::kReference, ExecutionPath::kPipelined}) {
       AlltoallOptions options;
       options.path = path;
       SCOPED_TRACE(sl.describe() + " path=" +
@@ -392,7 +410,6 @@ TEST(LayoutDigest, ContiguousLayoutsKeyIdenticallyToPlainCalls) {
   const std::int64_t n = 6;
   const std::int64_t b = 24;
   AlltoallOptions options;
-  options.path = ExecutionPath::kCompiled;
   const auto run_plain = [&] {
     mps::run_spmd(n, 1, [&](mps::Communicator& comm) {
       std::vector<std::byte> send(static_cast<std::size_t>(n * b));
@@ -426,7 +443,6 @@ TEST(LayoutDigest, StrideJitterSharesOnePlanAcrossCalls) {
   PlanCache::global().clear();
   const std::int64_t n = 6;
   AlltoallOptions options;
-  options.path = ExecutionPath::kCompiled;
   const auto run_with = [&](const Layout& sl) {
     const std::int64_t b = sl.block_bytes();
     const Layout rl = Layout::vector(1, b, b).with_block_stride(b + 3);

@@ -7,15 +7,17 @@
 
 #include <vector>
 
-#include "coll/concat_bruck.hpp"
-#include "coll/index_bruck.hpp"
+#include "coll/api.hpp"
 #include "coll/verify.hpp"
+#include "test_util.hpp"
 #include "mps/runtime.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace bruck::mps {
 namespace {
+
+using testutil::forced_index;
 
 TEST(GroupComm, RankTranslation) {
   run_spmd(6, 1, [&](Communicator& comm) {
@@ -71,7 +73,8 @@ TEST(GroupComm, IndexInsideOneGroup) {
     std::vector<std::byte> send(static_cast<std::size_t>(gn * b));
     std::vector<std::byte> recv(send.size());
     coll::fill_index_send(send, gn, grank, b, 17);
-    coll::index_bruck(group, send, recv, b, coll::IndexBruckOptions{2, 0});
+    coll::alltoall(group, send, recv, b,
+                   forced_index(coll::IndexAlgorithm::kBruck, 2));
     errors[static_cast<std::size_t>(comm.rank())] =
         coll::check_index_recv(recv, gn, grank, b, 17);
   });
@@ -91,7 +94,8 @@ TEST(GroupComm, DisjointGroupsRunConcurrently) {
       std::vector<std::byte> send(static_cast<std::size_t>(gn * b));
       std::vector<std::byte> recv(send.size());
       coll::fill_index_send(send, gn, group.rank(), b, 23);
-      coll::index_bruck(group, send, recv, b, coll::IndexBruckOptions{3, 0});
+      coll::alltoall(group, send, recv, b,
+                     forced_index(coll::IndexAlgorithm::kBruck, 3));
       errors[static_cast<std::size_t>(me)] =
           coll::check_index_recv(recv, gn, group.rank(), b, 23);
     } else {
@@ -100,7 +104,7 @@ TEST(GroupComm, DisjointGroupsRunConcurrently) {
       std::vector<std::byte> send(static_cast<std::size_t>(b));
       std::vector<std::byte> recv(static_cast<std::size_t>(gn * b));
       coll::fill_concat_send(send, group.rank(), b, 29);
-      coll::concat_bruck(group, send, recv, b, {});
+      coll::allgather(group, send, recv, b);
       errors[static_cast<std::size_t>(me)] =
           coll::check_concat_recv(recv, gn, b, 29);
     }
@@ -123,7 +127,7 @@ TEST(GroupComm, PermutedMemberOrderIsHonored) {
     std::vector<std::byte> recv(static_cast<std::size_t>(4 * b));
     // Seed the payload by *fabric* rank so the expected order is visible.
     coll::fill_concat_send(send, comm.rank(), b, 31);
-    coll::concat_bruck(group, send, recv, b, {});
+    coll::allgather(group, send, recv, b);
     for (std::int64_t i = 0; i < 4; ++i) {
       for (std::int64_t off = 0; off < b; ++off) {
         const std::byte expect =
@@ -146,7 +150,8 @@ TEST(GroupComm, SingletonGroupDegenerates) {
     GroupComm group(comm, {1});
     std::vector<std::byte> send(4, std::byte{7});
     std::vector<std::byte> recv(4);
-    coll::index_bruck(group, send, recv, 4, coll::IndexBruckOptions{2, 0});
+    coll::alltoall(group, send, recv, 4,
+                   forced_index(coll::IndexAlgorithm::kBruck, 2));
     BRUCK_ENSURE(recv == send);
   });
 }

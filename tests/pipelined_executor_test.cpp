@@ -1,20 +1,22 @@
-// The pipelined plan executor over the nonblocking port engine.
+// The plan executor over the nonblocking port engine, and the kReference
+// oracle it is checked against.
 //
-// The correctness story extends plan_cache_test's three-way cross-check to
-// the fourth execution mode: for random (n, k, radix, b, segments)
-// configurations, the pipelined executor must deliver exactly the payloads
-// the reference (inline) implementation does AND record the identical
-// C1/C2 trace — wire segmentation and out-of-order receive completion must
-// be invisible above the transport.  Also covered here: idle-round
-// tree-based baselines, the deferred engine fallback for wrapper
-// communicators that only override exchange(), groups, segment tuning, and
-// the drop_from_barrier exception-unwind path.
+// The executor must deliver the right payloads AND record exactly the trace
+// the sched/ builder specifies — wire segmentation and out-of-order receive
+// completion must be invisible above the transport.  Covered here: messages
+// that really segment, the direct oracle behind ExecutionPath::kReference,
+// the one receive budget per blocking call, idle-round tree-based
+// baselines, the deferred engine fallback for wrapper communicators that
+// only override exchange(), groups, segment tuning, and the
+// drop_from_barrier exception-unwind path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "coll/api.hpp"
@@ -24,9 +26,10 @@
 #include "model/tuner.hpp"
 #include "mps/group.hpp"
 #include "mps/runtime.hpp"
+#include "sched/builders_index.hpp"
 #include "test_util.hpp"
 #include "util/assert.hpp"
-#include "util/rng.hpp"
+#include "util/math.hpp"
 
 namespace bruck {
 namespace {
@@ -40,148 +43,8 @@ using coll::ExecutionPath;
 using coll::IndexAlgorithm;
 
 // ---------------------------------------------------------------------------
-// Random sweeps: pipelined vs reference, payloads and traces.
-
-TEST(PipelinedExecutor, IndexRandomSweepMatchesReference) {
-  SplitMix64 rng(0xF1FE11E5);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::int64_t n = 1 + static_cast<std::int64_t>(rng.next_below(24));
-    const int k = 1 + static_cast<int>(rng.next_below(4));
-    const std::int64_t b = static_cast<std::int64_t>(rng.next_below(24));
-    const std::int64_t r =
-        2 + static_cast<std::int64_t>(rng.next_below(
-                static_cast<std::uint64_t>(std::max<std::int64_t>(1, n - 1))));
-    const int segments = 1 + static_cast<int>(rng.next_below(4));
-    SCOPED_TRACE("n=" + std::to_string(n) + " r=" + std::to_string(r) +
-                 " k=" + std::to_string(k) + " b=" + std::to_string(b) +
-                 " S=" + std::to_string(segments));
-    const std::uint64_t seed = rng.next();
-
-    AlltoallOptions pipelined;
-    pipelined.algorithm = IndexAlgorithm::kBruck;
-    pipelined.radix = r;
-    pipelined.path = ExecutionPath::kPipelined;
-    pipelined.segments = segments;
-    AlltoallOptions reference = pipelined;
-    reference.path = ExecutionPath::kReference;
-
-    const testutil::CollRun run_p = testutil::run_index(
-        n, k, b,
-        [&](mps::Communicator& comm, std::span<const std::byte> send,
-            std::span<std::byte> recv) {
-          return coll::alltoall(comm, send, recv, b, pipelined);
-        },
-        seed);
-    const testutil::CollRun run_r = testutil::run_index(
-        n, k, b,
-        [&](mps::Communicator& comm, std::span<const std::byte> send,
-            std::span<std::byte> recv) {
-          return coll::alltoall(comm, send, recv, b, reference);
-        },
-        seed);
-    ASSERT_EQ(run_p.error, "");
-    ASSERT_EQ(run_r.error, "");
-    EXPECT_EQ(run_p.rounds_used, run_r.rounds_used);
-    sched::Schedule exec_p = run_p.trace->to_schedule();
-    sched::Schedule exec_r = run_r.trace->to_schedule();
-    exec_p.normalize();
-    exec_r.normalize();
-    EXPECT_TRUE(exec_p == exec_r)
-        << "pipelined and reference traces diverge";
-  }
-}
-
-TEST(PipelinedExecutor, ConcatRandomSweepMatchesReference) {
-  SplitMix64 rng(0x5E67ED);
-  const ConcatAlgorithm algorithms[] = {ConcatAlgorithm::kBruck,
-                                        ConcatAlgorithm::kFolklore,
-                                        ConcatAlgorithm::kRing};
-  const model::ConcatLastRound strategies[] = {
-      model::ConcatLastRound::kAuto, model::ConcatLastRound::kColumnGranular,
-      model::ConcatLastRound::kTwoRound};
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::int64_t n = 1 + static_cast<std::int64_t>(rng.next_below(24));
-    const int k = 1 + static_cast<int>(rng.next_below(4));
-    const std::int64_t b = static_cast<std::int64_t>(rng.next_below(16));
-    // kFolklore/kRing cover the idle-round tree/chain baselines: most ranks
-    // sit out most rounds, and the pipelined executor must still count
-    // rounds exactly as the reference does.
-    const ConcatAlgorithm alg = algorithms[rng.next_below(3)];
-    const model::ConcatLastRound strategy = strategies[rng.next_below(3)];
-    const int segments = 1 + static_cast<int>(rng.next_below(4));
-    SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k) +
-                 " b=" + std::to_string(b) + " alg=" + coll::to_string(alg) +
-                 " strat=" + std::to_string(static_cast<int>(strategy)) +
-                 " S=" + std::to_string(segments));
-    const std::uint64_t seed = rng.next();
-
-    AllgatherOptions pipelined;
-    pipelined.algorithm = alg;
-    pipelined.last_round = strategy;
-    pipelined.path = ExecutionPath::kPipelined;
-    pipelined.segments = segments;
-    AllgatherOptions reference = pipelined;
-    reference.path = ExecutionPath::kReference;
-
-    const testutil::CollRun run_p = testutil::run_concat(
-        n, k, b,
-        [&](mps::Communicator& comm, std::span<const std::byte> send,
-            std::span<std::byte> recv) {
-          return coll::allgather(comm, send, recv, b, pipelined);
-        },
-        seed);
-    const testutil::CollRun run_r = testutil::run_concat(
-        n, k, b,
-        [&](mps::Communicator& comm, std::span<const std::byte> send,
-            std::span<std::byte> recv) {
-          return coll::allgather(comm, send, recv, b, reference);
-        },
-        seed);
-    ASSERT_EQ(run_p.error, "");
-    ASSERT_EQ(run_r.error, "");
-    EXPECT_EQ(run_p.rounds_used, run_r.rounds_used);
-    sched::Schedule exec_p = run_p.trace->to_schedule();
-    sched::Schedule exec_r = run_r.trace->to_schedule();
-    exec_p.normalize();
-    exec_r.normalize();
-    EXPECT_TRUE(exec_p == exec_r)
-        << "pipelined and reference traces diverge";
-  }
-}
-
-TEST(PipelinedExecutor, PipelinedVsBlockingCompiledIdenticalTraces) {
-  // The two compiled executors walk the same plan; their traces (and plan
-  // stats) must be indistinguishable.
-  const std::int64_t n = 12;
-  const int k = 2;
-  const std::int64_t b = 32;
-  const auto run_with = [&](ExecutionPath path) {
-    AlltoallOptions options;
-    options.algorithm = IndexAlgorithm::kBruck;
-    options.radix = 3;
-    options.path = path;
-    options.segments = path == ExecutionPath::kPipelined ? 2 : 0;
-    return testutil::run_index(
-        n, k, b,
-        [&](mps::Communicator& comm, std::span<const std::byte> send,
-            std::span<std::byte> recv) {
-          return coll::alltoall(comm, send, recv, b, options);
-        });
-  };
-  const testutil::CollRun blocking = run_with(ExecutionPath::kCompiled);
-  const testutil::CollRun pipelined = run_with(ExecutionPath::kPipelined);
-  ASSERT_EQ(blocking.error, "");
-  ASSERT_EQ(pipelined.error, "");
-  sched::Schedule sb = blocking.trace->to_schedule();
-  sched::Schedule sp = pipelined.trace->to_schedule();
-  sb.normalize();
-  sp.normalize();
-  EXPECT_TRUE(sb == sp);
-  EXPECT_EQ(blocking.trace->plan_stats().bytes_sent,
-            pipelined.trace->plan_stats().bytes_sent);
-  EXPECT_EQ(blocking.trace->plan_stats().rounds,
-            pipelined.trace->plan_stats().rounds);
-}
+// Segmentation: payloads verified, trace against the specification (the
+// random sweeps over segment counts live in random_sweep_test).
 
 TEST(PipelinedExecutor, LargeBlocksActuallySegmentOnTheWire) {
   // Small-b sweeps collapse to one wire segment under the executor's
@@ -191,38 +54,189 @@ TEST(PipelinedExecutor, LargeBlocksActuallySegmentOnTheWire) {
   const std::int64_t n = 4;
   const int k = 2;
   const std::int64_t b = 16384;
-  AlltoallOptions pipelined;
-  pipelined.algorithm = IndexAlgorithm::kBruck;
-  pipelined.radix = 2;
-  pipelined.path = ExecutionPath::kPipelined;
-  pipelined.segments = 4;
-  AlltoallOptions reference = pipelined;
-  reference.path = ExecutionPath::kReference;
-  const testutil::CollRun run_p = testutil::run_index(
+  AlltoallOptions options;
+  options.algorithm = IndexAlgorithm::kBruck;
+  options.radix = 2;
+  options.segments = 4;
+  const testutil::CollRun run = testutil::run_index(
       n, k, b,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::alltoall(comm, send, recv, b, pipelined);
+        return coll::alltoall(comm, send, recv, b, options);
       });
-  const testutil::CollRun run_r = testutil::run_index(
-      n, k, b,
-      [&](mps::Communicator& comm, std::span<const std::byte> send,
-          std::span<std::byte> recv) {
-        return coll::alltoall(comm, send, recv, b, reference);
-      });
-  ASSERT_EQ(run_p.error, "");
-  ASSERT_EQ(run_r.error, "");
-  sched::Schedule exec_p = run_p.trace->to_schedule();
-  sched::Schedule exec_r = run_r.trace->to_schedule();
-  exec_p.normalize();
-  exec_r.normalize();
-  EXPECT_TRUE(exec_p == exec_r);
+  ASSERT_EQ(run.error, "");
+  sched::Schedule executed = run.trace->to_schedule();
+  sched::Schedule built = sched::build_index_bruck(n, 2, k, b);
+  executed.normalize();
+  built.normalize();
+  EXPECT_TRUE(executed == built);
+  EXPECT_EQ(executed.metrics(), model::index_bruck_cost(n, 2, k, b));
+}
+
+// ---------------------------------------------------------------------------
+// The kReference oracle follows no algorithm: whatever algorithm, radix or
+// last round the options name, every family runs the same direct per-pair
+// exchange of b-byte messages — index_direct's schedule — and delivers the
+// right payloads.
+
+TEST(ReferenceOracle, FollowsNoAlgorithm) {
+  const std::int64_t b = 8;  // one i64 element per reduce-scatter block
+  for (const std::int64_t n : {5, 8}) {
+    for (const int k : {1, 2}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(k));
+      sched::Schedule expected = sched::build_index_direct(n, k, b);
+      expected.normalize();
+      const model::CostMetrics direct = model::index_direct_cost(n, k, b);
+      const auto expect_direct = [&](const mps::Trace& trace,
+                                     const std::string& what) {
+        sched::Schedule executed = trace.to_schedule();
+        executed.normalize();
+        EXPECT_TRUE(executed == expected) << what;
+        EXPECT_EQ(trace.metrics(), direct) << what;
+      };
+
+      std::vector<AlltoallOptions> index_variants;
+      for (const std::int64_t r : {2, 3}) {
+        AlltoallOptions o;
+        o.algorithm = IndexAlgorithm::kBruck;
+        o.radix = r;
+        index_variants.push_back(o);
+      }
+      for (const IndexAlgorithm a :
+           {IndexAlgorithm::kDirect, IndexAlgorithm::kPairwise,
+            IndexAlgorithm::kAuto}) {
+        if (a == IndexAlgorithm::kPairwise && !is_pow2(n)) continue;
+        AlltoallOptions o;
+        o.algorithm = a;
+        index_variants.push_back(o);
+      }
+      for (AlltoallOptions o : index_variants) {
+        o.path = ExecutionPath::kReference;
+        const std::string what =
+            "alltoall " + coll::to_string(o.algorithm) + " r=" +
+            std::to_string(o.radix);
+        const testutil::CollRun run = testutil::run_index(
+            n, k, b,
+            [&](mps::Communicator& comm, std::span<const std::byte> send,
+                std::span<std::byte> recv) {
+              return coll::alltoall(comm, send, recv, b, o);
+            });
+        EXPECT_EQ(run.error, "") << what;
+        expect_direct(*run.trace, what);
+      }
+
+      for (const ConcatAlgorithm a :
+           {ConcatAlgorithm::kBruck, ConcatAlgorithm::kFolklore,
+            ConcatAlgorithm::kRing, ConcatAlgorithm::kAuto}) {
+        for (const model::ConcatLastRound s :
+             {model::ConcatLastRound::kAuto,
+              model::ConcatLastRound::kByteSplit,
+              model::ConcatLastRound::kColumnGranular,
+              model::ConcatLastRound::kTwoRound}) {
+          AllgatherOptions o;
+          o.algorithm = a;
+          o.last_round = s;
+          o.path = ExecutionPath::kReference;
+          const std::string what = "allgather " + coll::to_string(a) +
+                                   " last_round=" +
+                                   std::to_string(static_cast<int>(s));
+          const testutil::CollRun run = testutil::run_concat(
+              n, k, b,
+              [&](mps::Communicator& comm, std::span<const std::byte> send,
+                  std::span<std::byte> recv) {
+                return coll::allgather(comm, send, recv, b, o);
+              });
+          EXPECT_EQ(run.error, "") << what;
+          expect_direct(*run.trace, what);
+        }
+      }
+
+      for (const coll::ReduceAlgorithm a :
+           {coll::ReduceAlgorithm::kBruck, coll::ReduceAlgorithm::kDirect,
+            coll::ReduceAlgorithm::kPairwise, coll::ReduceAlgorithm::kAuto}) {
+        if (a == coll::ReduceAlgorithm::kPairwise && !is_pow2(n)) continue;
+        coll::ReduceScatterOptions o;
+        o.algorithm = a;
+        o.radix = 3;
+        o.path = ExecutionPath::kReference;
+        const std::string what = "reduce_scatter " + coll::to_string(a);
+        // Rank i contributes i·100 + j + 1 to rank j.
+        std::vector<std::int64_t> got(static_cast<std::size_t>(n), -1);
+        const mps::RunResult rr = mps::run_spmd(n, k, [&](mps::Communicator&
+                                                              comm) {
+          std::vector<std::int64_t> send(static_cast<std::size_t>(n));
+          for (std::int64_t j = 0; j < n; ++j) {
+            send[static_cast<std::size_t>(j)] = comm.rank() * 100 + j + 1;
+          }
+          std::int64_t recv = 0;
+          coll::reduce_scatter(
+              comm, std::as_bytes(std::span(send)),
+              std::as_writable_bytes(std::span(&recv, 1)), b,
+              coll::ReduceOp::sum(coll::ReduceElem::kI64), o);
+          got[static_cast<std::size_t>(comm.rank())] = recv;
+        });
+        for (std::int64_t j = 0; j < n; ++j) {
+          EXPECT_EQ(got[static_cast<std::size_t>(j)],
+                    100 * n * (n - 1) / 2 + n * (j + 1))
+              << what << " rank " << j;
+        }
+        expect_direct(*rr.trace, what);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One receive budget per blocking call: a collective whose receives each
+// arrive well within the budget, but which together take longer, must time
+// out after about one budget instead of resetting the clock per receive.
+
+TEST(PipelinedExecutor, BlockingCallSharesOneReceiveBudget) {
+  const std::int64_t n = 5;  // direct exchange: 4 rounds, one receive each
+  const std::int64_t b = 8;
+  const auto budget = 500ms;
+  const auto gap = 200ms;  // each receive arrives 0.4 budgets after the last
+  mps::FabricOptions fabric;
+  fabric.n = n;
+  fabric.k = 1;
+  fabric.recv_timeout = budget;
+  std::string error;
+  std::chrono::milliseconds elapsed{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  mps::run_spmd(fabric, [&](mps::Communicator& comm) {
+    if (comm.rank() != 0) {
+      // A slow peer: rank 0 receives from rank n − j in round j − 1, so
+      // rank p's message is the (n − p)-th to arrive.
+      const std::int64_t j = n - comm.rank();
+      std::this_thread::sleep_until(t0 + j * gap);
+      const std::vector<std::byte> payload(static_cast<std::size_t>(b));
+      comm.post_send(static_cast<int>(j - 1), 0, payload);
+      return;
+    }
+    std::vector<std::byte> send(static_cast<std::size_t>(n * b));
+    std::vector<std::byte> recv(send.size());
+    AlltoallOptions options;
+    options.algorithm = IndexAlgorithm::kDirect;
+    try {
+      coll::alltoall(comm, send, recv, b, options);
+    } catch (const ContractViolation& e) {
+      error = e.what();
+    }
+    elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::steady_clock::now() - t0);
+  });
+  EXPECT_NE(error.find("timed out"), std::string::npos)
+      << "the call outlived its budget: " << error;
+  // About one budget (the deadline rounds to whole milliseconds), with
+  // slack for a loaded machine but well short of a second budget.
+  EXPECT_GE(elapsed, budget - 50ms);
+  EXPECT_LT(elapsed, 2 * budget);
 }
 
 // ---------------------------------------------------------------------------
 // Idle-round baselines: in folklore most ranks are idle in most rounds, and
-// several rounds at leaf ranks carry a send with no receive.  The pipelined
-// executor must thread the declared round indices through identically.
+// several rounds at leaf ranks carry a send with no receive.  The executor
+// must thread the declared round indices through identically.
 
 TEST(PipelinedExecutor, FolkloreIdleRoundsKeepRoundAccounting) {
   for (const std::int64_t n : {5, 8, 13}) {
@@ -245,8 +259,8 @@ TEST(PipelinedExecutor, FolkloreIdleRoundsKeepRoundAccounting) {
 
 // ---------------------------------------------------------------------------
 // Wrapper communicators: a subclass that only overrides exchange() (the
-// pre-port-engine extension point) must still work under the pipelined
-// executor via the deferred fallback engine.
+// pre-port-engine extension point) must still work under the executor via
+// the deferred fallback engine.
 
 class PassthroughComm final : public mps::Communicator {
  public:
@@ -297,7 +311,7 @@ TEST(PipelinedExecutor, DeferredFallbackDrivesExchangeOnlyWrappers) {
 
 // ---------------------------------------------------------------------------
 // Groups: the engine forwards through GroupComm with rank translation, so
-// a pipelined collective inside a subset of the machine stays correct.
+// a collective inside a subset of the machine stays correct.
 
 TEST(PipelinedExecutor, RunsInsideProcessGroups) {
   const std::int64_t n = 8;

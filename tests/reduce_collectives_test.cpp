@@ -1,8 +1,8 @@
 // Reduction collectives (reduce_scatter / allreduce) through the plan
 // engine: the ReduceOp table itself, randomized cross-checks of every
-// algorithm × execution path against independently computed expectations,
-// degenerate shapes, trace C1/C2 equality between executors, and the
-// bytes_reduced accounting.
+// algorithm (and the kReference oracle) against independently computed
+// expectations, degenerate shapes, executed traces against the closed-form
+// costs, and the bytes_reduced accounting.
 //
 // Exactness discipline: the plan paths combine contributions in
 // tree/arrival order while the expectations combine in rank order, so all
@@ -12,6 +12,7 @@
 #include <array>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "coll/api.hpp"
@@ -20,6 +21,7 @@
 #include "coll/reduction.hpp"
 #include "gtest/gtest.h"
 #include "mps/runtime.hpp"
+#include "sched/builders_index.hpp"
 #include "util/rng.hpp"
 
 namespace bruck {
@@ -251,7 +253,7 @@ TEST(ReduceOp, CacheTagSeparatesKindsAndWidths) {
 }
 
 // ---------------------------------------------------------------------------
-// Every op × element type on one geometry, all three execution paths.
+// Every op × element type on one geometry, plan and oracle.
 
 TEST(ReduceScatter, AllOpsAllTypesAllPaths) {
   const std::int64_t n = 8;
@@ -260,8 +262,7 @@ TEST(ReduceScatter, AllOpsAllTypesAllPaths) {
   for (const ReduceKind kind : kKinds) {
     for (const ReduceElem elem : kElems) {
       for (const ExecutionPath path :
-           {ExecutionPath::kReference, ExecutionPath::kCompiled,
-            ExecutionPath::kPipelined}) {
+           {ExecutionPath::kReference, ExecutionPath::kPipelined}) {
         ReduceScatterOptions options;
         options.path = path;
         dispatch_elem(elem, [&]<typename T>() {
@@ -289,8 +290,8 @@ TEST(ReduceScatter, RandomizedSweepAllAlgorithms) {
     const ReduceKind kind = kKinds[rng.next_below(4)];
     const ReduceElem elem = kElems[rng.next_below(4)];
     const ExecutionPath path =
-        std::array{ExecutionPath::kReference, ExecutionPath::kCompiled,
-                   ExecutionPath::kPipelined}[rng.next_below(3)];
+        std::array{ExecutionPath::kReference,
+                   ExecutionPath::kPipelined}[rng.next_below(2)];
 
     ReduceScatterOptions options;
     options.path = path;
@@ -332,8 +333,7 @@ TEST(ReduceScatter, RandomizedSweepAllAlgorithms) {
 
 TEST(ReduceScatter, DegenerateShapes) {
   for (const ExecutionPath path :
-       {ExecutionPath::kReference, ExecutionPath::kCompiled,
-        ExecutionPath::kPipelined}) {
+       {ExecutionPath::kReference, ExecutionPath::kPipelined}) {
     ReduceScatterOptions options;
     options.path = path;
     // n = 1: the result is this rank's own contribution.
@@ -367,8 +367,8 @@ TEST(Allreduce, RandomizedSweep) {
     const ReduceKind kind = kKinds[rng.next_below(4)];
     const ReduceElem elem = kElems[rng.next_below(4)];
     const ExecutionPath path =
-        std::array{ExecutionPath::kReference, ExecutionPath::kCompiled,
-                   ExecutionPath::kPipelined}[rng.next_below(3)];
+        std::array{ExecutionPath::kReference,
+                   ExecutionPath::kPipelined}[rng.next_below(2)];
     AllreduceOptions options;
     options.path = path;
     if (rng.next_below(2) == 0) {
@@ -404,8 +404,7 @@ TEST(ReduceScatter, UserFunctionEscapeHatch) {
       },
       /*elem_bytes=*/8);
   for (const ExecutionPath path :
-       {ExecutionPath::kReference, ExecutionPath::kCompiled,
-        ExecutionPath::kPipelined}) {
+       {ExecutionPath::kReference, ExecutionPath::kPipelined}) {
     std::vector<std::string> errors(static_cast<std::size_t>(n));
     mps::run_spmd(n, k, [&](mps::Communicator& comm) {
       const std::int64_t rank = comm.rank();
@@ -437,9 +436,7 @@ TEST(ReduceScatter, UserFunctionEscapeHatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor equivalence: the compiled and pipelined walks of one plan must
-// produce identical C1/C2 traces, and the direct plan must match the
-// per-pair reference transfer-for-transfer.
+// Executed traces against the closed-form costs.
 
 std::shared_ptr<mps::Trace> traced_reduce(std::int64_t n, int k,
                                           std::int64_t be,
@@ -449,52 +446,36 @@ std::shared_ptr<mps::Trace> traced_reduce(std::int64_t n, int k,
                                             options, "traced");
 }
 
-TEST(ReduceScatter, TraceMetricsAgreeAcrossExecutors) {
+TEST(ReduceScatter, TraceMatchesClosedFormCosts) {
+  for (const auto& [n, k, r] : {std::tuple<std::int64_t, int, std::int64_t>{
+                                    12, 2, 3},
+                                {16, 3, 2}}) {
+    const std::int64_t be = 2;
+    const std::int64_t b = be * 8;
+    ReduceScatterOptions options;
+    options.algorithm = ReduceAlgorithm::kBruck;
+    options.radix = r;
+    const model::CostMetrics got = traced_reduce(n, k, be, options)->metrics();
+    const model::CostMetrics want = model::reduce_bruck_cost(n, r, k, b);
+    EXPECT_EQ(got.c1, want.c1) << "n=" << n;
+    EXPECT_EQ(got.c2, want.c2) << "n=" << n;
+    EXPECT_EQ(got.total_bytes, want.total_bytes) << "n=" << n;
+    // The reduce skeleton moves exactly n−1 blocks per rank.
+    EXPECT_EQ(want.max_rank_sent, (n - 1) * b);
+  }
+  // The direct plan is the per-pair ring-distance exchange: index_direct's
+  // schedule, message for message.
   const std::int64_t n = 12;
   const int k = 2;
   const std::int64_t be = 5;
-  for (const ReduceAlgorithm algorithm :
-       {ReduceAlgorithm::kBruck, ReduceAlgorithm::kDirect}) {
-    ReduceScatterOptions options;
-    options.algorithm = algorithm;
-    options.radix = algorithm == ReduceAlgorithm::kBruck ? 3 : 0;
-    options.path = ExecutionPath::kCompiled;
-    const model::CostMetrics compiled =
-        traced_reduce(n, k, be, options)->metrics();
-    options.path = ExecutionPath::kPipelined;
-    const model::CostMetrics pipelined =
-        traced_reduce(n, k, be, options)->metrics();
-    EXPECT_EQ(compiled.c1, pipelined.c1);
-    EXPECT_EQ(compiled.c2, pipelined.c2);
-    EXPECT_EQ(compiled.total_bytes, pipelined.total_bytes);
-  }
-  // Direct plan vs the per-pair reference: identical round structure.
   ReduceScatterOptions direct;
   direct.algorithm = ReduceAlgorithm::kDirect;
-  direct.path = ExecutionPath::kCompiled;
-  const model::CostMetrics plan_m = traced_reduce(n, k, be, direct)->metrics();
-  direct.path = ExecutionPath::kReference;
-  const model::CostMetrics ref_m = traced_reduce(n, k, be, direct)->metrics();
-  EXPECT_EQ(plan_m.c1, ref_m.c1);
-  EXPECT_EQ(plan_m.c2, ref_m.c2);
-}
-
-TEST(ReduceScatter, TraceMatchesClosedFormCosts) {
-  const std::int64_t n = 16;
-  const int k = 3;
-  const std::int64_t be = 2;
-  const std::int64_t b = be * 8;
-  ReduceScatterOptions options;
-  options.algorithm = ReduceAlgorithm::kBruck;
-  options.radix = 2;
-  options.path = ExecutionPath::kPipelined;
-  const model::CostMetrics got = traced_reduce(n, k, be, options)->metrics();
-  const model::CostMetrics want = model::reduce_bruck_cost(n, 2, k, b);
-  EXPECT_EQ(got.c1, want.c1);
-  EXPECT_EQ(got.c2, want.c2);
-  EXPECT_EQ(got.total_bytes, want.total_bytes);
-  // The reduce skeleton moves exactly n−1 blocks per rank.
-  EXPECT_EQ(want.max_rank_sent, (n - 1) * b);
+  sched::Schedule executed = traced_reduce(n, k, be, direct)->to_schedule();
+  sched::Schedule built = sched::build_index_direct(n, k, be * 8);
+  executed.normalize();
+  built.normalize();
+  EXPECT_TRUE(executed == built);
+  EXPECT_EQ(executed.metrics(), model::reduce_direct_cost(n, k, be * 8));
 }
 
 TEST(ReduceScatter, BytesReducedAccounting) {
@@ -504,20 +485,16 @@ TEST(ReduceScatter, BytesReducedAccounting) {
   const std::int64_t b = be * 8;
   for (const ReduceAlgorithm algorithm :
        {ReduceAlgorithm::kBruck, ReduceAlgorithm::kDirect}) {
-    for (const ExecutionPath path :
-         {ExecutionPath::kCompiled, ExecutionPath::kPipelined}) {
-      ReduceScatterOptions options;
-      options.algorithm = algorithm;
-      options.radix = 2;
-      options.path = path;
-      const auto trace = traced_reduce(n, k, be, options);
-      const mps::PlanStats stats = trace->plan_stats();
-      EXPECT_EQ(stats.uses, static_cast<std::uint64_t>(n));
-      // Every rank combines exactly the n−1 foreign contributions.
-      EXPECT_EQ(stats.bytes_reduced, n * (n - 1) * b)
-          << coll::to_string(algorithm) << "/" << coll::to_string(path);
-      EXPECT_EQ(stats.bytes_sent, n * (n - 1) * b);
-    }
+    ReduceScatterOptions options;
+    options.algorithm = algorithm;
+    options.radix = 2;
+    const auto trace = traced_reduce(n, k, be, options);
+    const mps::PlanStats stats = trace->plan_stats();
+    EXPECT_EQ(stats.uses, static_cast<std::uint64_t>(n));
+    // Every rank combines exactly the n−1 foreign contributions.
+    EXPECT_EQ(stats.bytes_reduced, n * (n - 1) * b)
+        << coll::to_string(algorithm);
+    EXPECT_EQ(stats.bytes_sent, n * (n - 1) * b);
   }
 }
 

@@ -10,10 +10,38 @@
 #include <string>
 #include <vector>
 
+#include "coll/api.hpp"
 #include "coll/verify.hpp"
 #include "mps/runtime.hpp"
 
 namespace bruck::testutil {
+
+/// Facade options forcing one index algorithm (and radix, for Bruck), flat
+/// whatever BRUCK_HIER says.
+inline coll::AlltoallOptions forced_index(coll::IndexAlgorithm algorithm,
+                                          std::int64_t radix = 0,
+                                          int start_round = 0) {
+  coll::AlltoallOptions options;
+  options.algorithm = algorithm;
+  options.radix = radix;
+  options.start_round = start_round;
+  options.hier = coll::HierMode::kOff;
+  return options;
+}
+
+/// Facade options forcing one concat algorithm (and last round, for
+/// Bruck), flat whatever BRUCK_HIER says.
+inline coll::AllgatherOptions forced_concat(
+    coll::ConcatAlgorithm algorithm,
+    model::ConcatLastRound strategy = model::ConcatLastRound::kAuto,
+    int start_round = 0) {
+  coll::AllgatherOptions options;
+  options.algorithm = algorithm;
+  options.last_round = strategy;
+  options.start_round = start_round;
+  options.hier = coll::HierMode::kOff;
+  return options;
+}
 
 /// Per-rank body of an index-style collective: (comm, send, recv) → rounds
 /// used (next free round index).

@@ -307,7 +307,7 @@ TEST(VectorTuner, CachedPickIsStableWithinABucket) {
 }
 
 // ---------------------------------------------------------------------------
-// Payload correctness: every compiled path vs the oracle's contract.
+// Payload correctness: the plan path and the oracle vs the contract.
 
 TEST(Alltoallv, AllAlgorithmsAllPathsOnSkewedShapes) {
   for (const Skew skew : {Skew::kUniformRandom, Skew::kZeroRows,
@@ -318,8 +318,7 @@ TEST(Alltoallv, AllAlgorithmsAllPathsOnSkewedShapes) {
       const std::vector<std::int64_t> counts =
           make_matrix(n, skew, 100 + static_cast<std::uint64_t>(n));
       for (const ExecutionPath path :
-           {ExecutionPath::kReference, ExecutionPath::kCompiled,
-            ExecutionPath::kPipelined}) {
+           {ExecutionPath::kReference, ExecutionPath::kPipelined}) {
         for (const IndexAlgorithm algorithm :
              {IndexAlgorithm::kAuto, IndexAlgorithm::kBruck,
               IndexAlgorithm::kDirect}) {
@@ -340,13 +339,9 @@ TEST(Alltoallv, AllAlgorithmsAllPathsOnSkewedShapes) {
 
 TEST(Alltoallv, PairwiseOnPowerOfTwo) {
   const std::vector<std::int64_t> counts = make_matrix(8, Skew::kHeavyTail, 5);
-  for (const ExecutionPath path :
-       {ExecutionPath::kCompiled, ExecutionPath::kPipelined}) {
-    AlltoallvOptions options;
-    options.algorithm = IndexAlgorithm::kPairwise;
-    options.path = path;
-    EXPECT_EQ(run_alltoallv(8, 2, counts, options).error, "");
-  }
+  AlltoallvOptions options;
+  options.algorithm = IndexAlgorithm::kPairwise;
+  EXPECT_EQ(run_alltoallv(8, 2, counts, options).error, "");
 }
 
 TEST(Alltoallv, AllZeroShapeIsPureRoundCounting) {
@@ -389,7 +384,7 @@ TEST(Alltoallv, SegmentedPipelinedMatches) {
 }
 
 TEST(Alltoallv, PipelinedDirectTraceEqualsOracle) {
-  // The compiled direct plan mirrors the oracle's round structure, so the
+  // The direct plan mirrors the oracle's round structure, so the
   // executed traces must agree transfer-for-transfer — heterogeneous byte
   // counts and all (the C1/C2 accounting extended to non-uniform bytes).
   const std::vector<std::int64_t> counts =
@@ -420,8 +415,6 @@ TEST(Alltoallv, RandomSweep) {
     const Skew skew = static_cast<Skew>(rng.next_below(4));
     const std::vector<std::int64_t> counts = make_matrix(n, skew, rng.next());
     AlltoallvOptions options;
-    options.path = rng.next_below(2) == 0 ? ExecutionPath::kPipelined
-                                          : ExecutionPath::kCompiled;
     options.segments = static_cast<int>(rng.next_below(3));
     SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" + std::to_string(n) +
                  " k=" + std::to_string(k) +
@@ -448,8 +441,7 @@ TEST(Allgatherv, AllAlgorithmsAllPathsOnSkewedCounts) {
                                     : rng.next_below(24));
     }
     for (const ExecutionPath path :
-         {ExecutionPath::kReference, ExecutionPath::kCompiled,
-          ExecutionPath::kPipelined}) {
+         {ExecutionPath::kReference, ExecutionPath::kPipelined}) {
       for (const ConcatAlgorithm algorithm :
            {ConcatAlgorithm::kBruck, ConcatAlgorithm::kFolklore,
             ConcatAlgorithm::kRing}) {
@@ -476,8 +468,6 @@ TEST(Allgatherv, RandomSweepWithDisplacements) {
       c = static_cast<std::int64_t>(rng.next_below(128));
     }
     AllgathervOptions options;
-    options.path = rng.next_below(2) == 0 ? ExecutionPath::kPipelined
-                                          : ExecutionPath::kCompiled;
     const std::int64_t gap = static_cast<std::int64_t>(rng.next_below(8));
     SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" + std::to_string(n) +
                  " k=" + std::to_string(k) + " gap=" + std::to_string(gap));

@@ -12,10 +12,18 @@ renamed.  Fenced blocks and inline code spans are stripped before both the
 link scan and the heading scan.  External links (http/https/mailto) are
 not fetched.
 
+README.md and docs/*.md describe the tree as it is, so there the inline
+code spans are scanned too: every backticked repo path (``src/``,
+``tests/``, ``bench/``, ``examples/``, ``tools/``, ``docs/``) must name an
+existing file or directory, relative to the repo root.  ``{a,b}`` groups
+expand to every alternative and ``*`` must match at least one file.  The
+history files (CHANGES.md, ROADMAP.md, ISSUE.md) may name deleted paths.
+
 Usage: python3 tools/check_docs_links.py [repo_root]
 Exit status: 0 when all links resolve, 1 otherwise (each failure printed).
 """
 
+import glob
 import os
 import re
 import sys
@@ -28,11 +36,45 @@ REF_DEF = re.compile(r"^\s*\[[^\]]+\]:\s*(\S+)", re.MULTILINE)
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 CODE_FENCE = re.compile(r"```.*?```", re.DOTALL)
 INLINE_CODE = re.compile(r"`[^`\n]*`")
+REPO_PATH = re.compile(
+    r"(?<![\w/.-])(?:src|tests|bench|examples|tools|docs)/[\w./{},*+-]*"
+)
 
 
 def strip_code(text: str) -> str:
     """Remove fenced blocks and inline code spans before scanning."""
     return INLINE_CODE.sub("", CODE_FENCE.sub("", text))
+
+
+def expand_braces(path: str) -> list:
+    """Shell-style ``{a,b}`` expansion (groups do not nest)."""
+    match = re.search(r"\{([^{}]*)\}", path)
+    if not match:
+        return [path]
+    head, tail = path[: match.start()], path[match.end() :]
+    return [
+        expanded
+        for alternative in match.group(1).split(",")
+        for expanded in expand_braces(head + alternative + tail)
+    ]
+
+
+def code_path_failures(root: str, md: str) -> tuple:
+    """(paths checked, failures) for the backticked repo paths of `md`."""
+    with open(md, encoding="utf-8") as f:
+        text = CODE_FENCE.sub("", f.read())
+    rel = os.path.relpath(md, root)
+    checked, failures = 0, []
+    for span in INLINE_CODE.findall(text):
+        for token in REPO_PATH.findall(span):
+            token = token.rstrip(".,")
+            for path in expand_braces(token):
+                checked += 1
+                full = os.path.join(root, path)
+                found = glob.glob(full) if "*" in path else os.path.exists(full)
+                if not found:
+                    failures.append(f"{rel}: code span names missing '{path}'")
+    return checked, failures
 
 
 def slugify(heading: str) -> str:
@@ -97,11 +139,21 @@ def main() -> int:
                     failures.append(
                         f"{rel}: missing anchor '#{anchor}' in '{target}'"
                     )
+    code_paths = 0
+    current_docs = [os.path.join(root, "README.md")] + sorted(
+        glob.glob(os.path.join(root, "docs", "*.md"))
+    )
+    for md in current_docs:
+        if not os.path.exists(md):
+            continue
+        count, missing = code_path_failures(root, md)
+        code_paths += count
+        failures += missing
     for failure in failures:
         print(f"FAIL {failure}")
     print(
-        f"check_docs_links: {checked} intra-repo links checked, "
-        f"{len(failures)} broken"
+        f"check_docs_links: {checked} intra-repo links and {code_paths} "
+        f"code-span paths checked, {len(failures)} broken"
     )
     return 1 if failures else 0
 
