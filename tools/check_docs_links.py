@@ -17,7 +17,7 @@ code spans are scanned too: every backticked repo path (``src/``,
 ``tests/``, ``bench/``, ``examples/``, ``tools/``, ``docs/``) must name an
 existing file or directory, relative to the repo root.  ``{a,b}`` groups
 expand to every alternative and ``*`` must match at least one file.  The
-history files (CHANGES.md, ROADMAP.md, ISSUE.md) may name deleted paths.
+history files (CHANGES.md, ROADMAP.md) may name deleted paths.
 
 Usage: python3 tools/check_docs_links.py [repo_root]
 Exit status: 0 when all links resolve, 1 otherwise (each failure printed).
